@@ -21,7 +21,8 @@ from .errors import (InfeasibleProbabilityError, InternalContradictionError,
                      ParseError, PreconditionError, PremiseInfeasibleError,
                      SizeGuardError)
 from .generators import gnp, random_regular, random_split, random_tree
-from .graph import Graph, SplitPartition, is_tree, parse_edge_list, write_edge_list
+from .graph import (Graph, SplitPartition, is_tree, numbered_lines, parse_edge_list,
+                    write_edge_list)
 from .lll import lll_params_for_graph, mt_trials
 from .oracle import exact_gamma_1j, verify_1j_set
 from .recognize import split_recognition
@@ -53,22 +54,22 @@ def _load_graph(path: str) -> tuple[Graph, str]:
     return parse_edge_list(raw), hashlib.sha256(raw).hexdigest()
 
 
-def _parse_vertex_set(text: str) -> list[int]:
+def _read_tokens(path: str) -> list[str]:
+    """Whitespace-separated tokens of a text file."""
+    return [tok for _, ln in numbered_lines(_read_bytes(path)) for tok in ln.split()]
+
+
+def _parse_vertex_set(toks: list[str]) -> list[int]:
     try:
-        return [int(tok) for tok in text.split()]
+        return [int(tok) for tok in toks]
     except ValueError as exc:
         raise ParseError(f"vertex set file must contain integers: {exc}") from None
 
 
-def _parse_labels(text: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _parse_labels(data: bytes, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     lower = [None] * n
     upper = [None] * n
-    lineno = 0
-    for raw in text.splitlines():
-        lineno += 1
-        ln = raw.strip()
-        if not ln:
-            continue
+    for lineno, ln in numbered_lines(data):
         toks = ln.split()
         if len(toks) != 3:
             raise ParseError("label line must be 'v lower upper'", lineno)
@@ -87,14 +88,9 @@ def _parse_labels(text: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(lower), tuple(upper)
 
 
-def _parse_partition(text: str, n: int) -> SplitPartition:
+def _parse_partition(data: bytes, n: int) -> SplitPartition:
     sides: dict[str, list[int]] = {}
-    lineno = 0
-    for raw in text.splitlines():
-        lineno += 1
-        ln = raw.strip()
-        if not ln:
-            continue
+    for lineno, ln in numbered_lines(data):
         if ":" not in ln:
             raise ParseError("partition line must look like 'K: 0 1 2'", lineno)
         tag, _, rest = ln.partition(":")
@@ -137,10 +133,11 @@ def cmd_solve(args) -> int:
     report["method"] = method
 
     if method == "tree":
-        if not is_tree(g):
+        # auto mode has already checked; MLabeledTree checks again either way
+        if args.method == "tree" and not is_tree(g):
             raise PreconditionError("method=tree requires a tree input")
         if args.labels:
-            lower, upper = _parse_labels(_read_bytes(args.labels).decode("utf-8"), g.n)
+            lower, upper = _parse_labels(_read_bytes(args.labels), g.n)
             t = MLabeledTree(g, lower, upper)
             value, witness = gamma_M(t)
             if m_band_violations(t, witness.vertices):
@@ -156,7 +153,7 @@ def cmd_solve(args) -> int:
         if args.j is None:
             raise PreconditionError("--j is required")
         if args.partition:
-            part = _parse_partition(_read_bytes(args.partition).decode("utf-8"), g.n)
+            part = _parse_partition(_read_bytes(args.partition), g.n)
         else:
             part = split_recognition(g)
             if part is None:
@@ -236,7 +233,7 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     g, digest = _load_graph(args.graph)
-    vertices = _parse_vertex_set(_read_bytes(args.set).decode("utf-8"))
+    vertices = _parse_vertex_set(_read_tokens(args.set))
     report = verify_1j_set(g, vertices, args.j)
     _emit({
         "schema": SCHEMA,
@@ -252,6 +249,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.valid else EXIT_INVALID
 
 
+def _numbers(flag: str, toks: list[str], kinds: tuple) -> list:
+    try:
+        return [kind(tok) for kind, tok in zip(kinds, toks)]
+    except ValueError as exc:
+        raise ParseError(f"{flag}: {exc}") from None
+
+
 def cmd_gen(args) -> int:
     chosen = [name for name in ("tree", "regular", "gnp", "split") if getattr(args, name)]
     if len(chosen) != 1:
@@ -261,20 +265,20 @@ def cmd_gen(args) -> int:
     part = None
     if family == "tree":
         (n,) = args.tree
-        g = random_tree(int(n), args.seed)
-        params = {"n": int(n)}
+        g = random_tree(n, args.seed)
+        params = {"n": n}
     elif family == "regular":
         n, d = args.regular
-        g = random_regular(int(n), int(d), args.seed)
-        params = {"n": int(n), "d": int(d)}
+        g = random_regular(n, d, args.seed)
+        params = {"n": n, "d": d}
     elif family == "gnp":
-        n, p = args.gnp
-        g = gnp(int(n), float(p), args.seed)
-        params = {"n": int(n), "p": float(p)}
+        n, p = _numbers("--gnp", args.gnp, (int, float))
+        g = gnp(n, p, args.seed)
+        params = {"n": n, "p": p}
     else:
-        n1, n2, p = args.split
-        g, part = random_split(int(n1), int(n2), float(p), args.seed)
-        params = {"n1": int(n1), "n2": int(n2), "p": float(p)}
+        n1, n2, p = _numbers("--split", args.split, (int, int, float))
+        g, part = random_split(n1, n2, p, args.seed)
+        params = {"n1": n1, "n2": n2, "p": p}
 
     text = write_edge_list(g)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -331,7 +335,7 @@ def cmd_reduce(args) -> int:
         "roles_path": sidecar,
     }
     if args.emit_witness:
-        toks = _read_bytes(args.emit_witness).decode("utf-8").split()
+        toks = _read_tokens(args.emit_witness)
         try:
             cover = tuple(int(tok) - 1 for tok in toks)  # cover files are 1-based
         except ValueError:

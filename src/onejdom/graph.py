@@ -118,15 +118,26 @@ def validate_split_partition(g: Graph, part: SplitPartition) -> None:
                 raise PreconditionError(f"independent side contains edge ({u}, {v})")
 
 
+def numbered_lines(data: str | bytes) -> list[tuple[int, str]]:
+    """(1-based line number, stripped text) for every non-blank line.
+
+    Every input file is read through here; bytes that are not UTF-8 raise
+    ParseError.
+    """
+    if isinstance(data, (bytes, bytearray)):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8 text (bad byte at offset {exc.start})") from None
+    return [(i, s) for i, ln in enumerate(data.splitlines(), 1) if (s := ln.strip())]
+
+
 def parse_edge_list(text: str | bytes) -> Graph:
     """Parse the edge-list format: a header line "n m" followed by m lines "u v".
 
     Each malformed input raises ParseError naming the offending line.
     """
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
-    numbered = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
-    numbered = [(i, ln) for i, ln in numbered if ln]
+    numbered = numbered_lines(text)
     if not numbered:
         raise ParseError("empty input, expected header 'n m'")
     hline, header = numbered[0]

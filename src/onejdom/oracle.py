@@ -5,6 +5,13 @@ increasing cardinality (so the first hit is a minimum and, within a
 cardinality, lexicographically smallest), and the branch-and-bound engine
 exists only to push exact answers a little past where enumeration stops.
 Other solvers in the package are validated against this module.
+
+All enumeration is one scan, banded_sets, which yields the sets whose
+outside vertices each see a selected-neighbor count inside their band:
+exact_gamma_1j (enumeration engine) reads its first set under bands
+(1, j), exact_gamma its first under (1, n), exact_gamma_M its first under
+the tree's labels, and the EX3C gadget check in reduction reads every set
+of the first size.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import ceil
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import PreconditionError, SizeGuardError
 from .graph import Graph
@@ -77,36 +84,45 @@ def _check_guard(n: int, limit: int, force: bool, what: str) -> None:
             f"{what} guards at n <= {limit} (got n = {n}); pass force=True to override")
 
 
-def _enum_min_1j(g: Graph, j: int, budget: int | None) -> tuple[int, frozenset[int]] | None:
+def banded_sets(g: Graph, lower, upper, limit: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Every set D with lower[v] <= |N(v) & D| <= upper[v] for each v outside D.
+
+    Sets come in increasing cardinality (up to limit) and in combinations
+    order within a cardinality, so the first one is a lexicographically
+    smallest minimum.
+    """
     n = g.n
-    if n == 0:
-        return 0, frozenset()
     masks = g.neighbor_masks()
     full = (1 << n) - 1
     bits = [1 << v for v in range(n)]
-    top = n if budget is None else min(budget, n)
-    ids = range(n)
+    free = full  # vertices that may stay out with no selected neighbor
+    for v in range(n):
+        if lower[v] >= 1:
+            free ^= bits[v]
+    top = n if limit is None else min(limit, n)
     for k in range(top + 1):
-        for combo in combinations(ids, k):
+        for combo in combinations(range(n), k):
             dmask = 0
-            cover = 0
+            cover = free
             for v in combo:
                 dmask |= bits[v]
                 cover |= masks[v]
             if cover | dmask != full:
-                continue  # some unselected vertex has no selected neighbor
+                continue  # an unselected vertex that needs a selected neighbor has none
             rem = full & ~dmask
-            ok = True
             while rem:
                 low = rem & -rem
                 v = low.bit_length() - 1
-                if (masks[v] & dmask).bit_count() > j:
-                    ok = False
+                if not lower[v] <= (masks[v] & dmask).bit_count() <= upper[v]:
                     break
                 rem ^= low
-            if ok:
-                return k, frozenset(combo)
-    return None
+            else:
+                yield combo
+
+
+def _enum_min_1j(g: Graph, j: int, budget: int | None) -> tuple[int, frozenset[int]] | None:
+    combo = next(banded_sets(g, (1,) * g.n, (j,) * g.n, budget), None)
+    return None if combo is None else (len(combo), frozenset(combo))
 
 
 def _bnb_min_1j(g: Graph, j: int, budget: int | None) -> tuple[int, frozenset[int]] | None:
@@ -255,20 +271,7 @@ def exact_gamma_1j(
 def exact_gamma(g: Graph, force: bool = False) -> int:
     """Plain domination number by enumeration in increasing cardinality."""
     _check_guard(g.n, ENUM_GUARD, force, "enumeration")
-    n = g.n
-    if n == 0:
-        return 0
-    masks = g.neighbor_masks()
-    full = (1 << n) - 1
-    bits = [1 << v for v in range(n)]
-    for k in range(n + 1):
-        for combo in combinations(range(n), k):
-            cover = 0
-            for v in combo:
-                cover |= bits[v] | masks[v]
-            if cover == full:
-                return k
-    raise AssertionError("unreachable: V dominates itself")
+    return len(next(banded_sets(g, (1,) * g.n, (g.n,) * g.n)))
 
 
 def exact_gamma_M(t, force: bool = False) -> tuple[int, Witness]:
@@ -278,25 +281,6 @@ def exact_gamma_M(t, force: bool = False) -> tuple[int, Witness]:
     must lie in [lower[v], upper[v]].  The whole vertex set is always
     feasible, so a minimum exists.
     """
-    g: Graph = t.tree
-    lower, upper = t.lower, t.upper
-    _check_guard(g.n, ENUM_GUARD, force, "enumeration")
-    n = g.n
-    masks = g.neighbor_masks()
-    bits = [1 << v for v in range(n)]
-    for k in range(n + 1):
-        for combo in combinations(range(n), k):
-            smask = 0
-            for v in combo:
-                smask |= bits[v]
-            ok = True
-            for v in range(n):
-                if smask & bits[v]:
-                    continue
-                c = (masks[v] & smask).bit_count()
-                if not lower[v] <= c <= upper[v]:
-                    ok = False
-                    break
-            if ok:
-                return k, Witness(frozenset(combo))
-    raise AssertionError("unreachable: V is always an M-set")
+    _check_guard(t.tree.n, ENUM_GUARD, force, "enumeration")
+    combo = next(banded_sets(t.tree, t.lower, t.upper))
+    return len(combo), Witness(frozenset(combo))

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, takewhile
 
 from .errors import (InternalContradictionError, ParseError,
                      PreconditionError, SizeGuardError)
-from .graph import Graph
-from .oracle import Witness, verify_1j_set
+from .graph import Graph, numbered_lines
+from .oracle import Witness, banded_sets, verify_1j_set
 
 log = logging.getLogger(__name__)
 
@@ -68,10 +68,7 @@ class EX3CInstance:
 
 def parse_ex3c(text: str | bytes) -> EX3CInstance:
     """Parse the instance format: header "q t", then t lines of 3 elements."""
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
-    numbered = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
-    numbered = [(i, ln) for i, ln in numbered if ln]
+    numbered = numbered_lines(text)
     if not numbered:
         raise ParseError("empty input, expected header 'q t'")
     hline, header = numbered[0]
@@ -294,22 +291,13 @@ class GadgetCheck:
 
 def _min_sets_dominating(g: Graph, targets: list[int]) -> tuple[int, list[frozenset[int]]]:
     """Smallest size k and all k-subsets whose closed neighborhoods cover targets."""
-    masks = g.neighbor_masks()
-    bits = [1 << v for v in range(g.n)]
-    goal = 0
+    lower = [0] * g.n
     for v in targets:
-        goal |= bits[v]
-    for k in range(g.n + 1):
-        hits = []
-        for combo in combinations(range(g.n), k):
-            cover = 0
-            for v in combo:
-                cover |= bits[v] | masks[v]
-            if cover & goal == goal:
-                hits.append(frozenset(combo))
-        if hits:
-            return k, hits
-    raise AssertionError("unreachable")
+        lower[v] = 1
+    sets = banded_sets(g, lower, (g.n,) * g.n)
+    first = next(sets)
+    hits = [first, *takewhile(lambda c: len(c) == len(first), sets)]
+    return len(first), [frozenset(c) for c in hits]
 
 
 def gadget_lower_bounds(j: int) -> list[GadgetCheck]:

@@ -16,16 +16,23 @@ trace class and keeps the smallest:
   i = n1       K plus the independents of degree >= j+1 (which can never
                sit outside the set once K is inside).
 
-When n1 <= j the trace restriction is vacuous, and all 2^n1 clique subsets
-are enumerated with their forced independent side instead.  Every candidate
-is re-verified before it may win; a candidate that fails verification
-aborts the run, because it would mean the case analysis was misapplied.
+When n1 <= j the trace restriction is vacuous, and the same classes
+i = 0..n1 reach every clique subset with its forced independent side.
+
+One scan, _trace_class, yields the admissible clique parts of a class in
+lex order.  gamma_1j_split (through split_case_candidates) takes the
+smallest candidate of each class, re-verifying every candidate before it
+may win: a candidate that fails verification aborts the run, because it
+would mean the case analysis was misapplied.  is_gamma_n_split reads the
+same scan for conditions (i)-(iii), but only asks whether a class yields
+anything, stopping at the first hit and verifying nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from .errors import InternalContradictionError, PreconditionError
 from .graph import Graph, SplitPartition, is_connected, validate_split_partition
@@ -58,70 +65,45 @@ def _checked(g: Graph, j: int, case_index: int, vertices: set[int], detail: str)
     return frozenset(vertices)
 
 
-def _small_clique_scan(g: Graph, K: list[int], S: list[int], j: int) -> tuple[int, frozenset[int]]:
-    """All clique subsets, each with its forced independent side (n1 <= j)."""
-    best: tuple[int, frozenset[int]] | None = None
-    for r in range(len(K) + 1):
-        if best is not None and best[0] <= r:
-            break
-        for ksub in combinations(K, r):
-            dk = set(ksub)
-            forced = [u for u in S if not 1 <= len(dk & g.neighbor_set(u)) <= j]
-            cand = dk | set(forced)
-            if not verify_1j_set(g, cand, j).valid:
-                continue
-            if best is None or len(cand) < best[0]:
-                best = (len(cand), frozenset(cand))
-    assert best is not None  # K union forced-S with D_K = K is always valid
-    return best
-
-
-def split_case_candidates(g: Graph, part: SplitPartition, j: int) -> list[SplitCaseResult]:
-    """Candidates for each trace class i in {0, ..., j, n1}; requires n1 > j."""
-    K = sorted(part.clique)
-    S = sorted(part.independent)
+def _trace_class(g: Graph, K: list[int], S: list[int], i: int,
+                 j: int) -> Iterator[tuple[tuple[int, ...], frozenset[int]]]:
+    """Admissible clique parts of trace class i, each with its forced
+    independent side, in lex order; i = j + 1 encodes the K-inside case."""
     n1 = len(K)
-    results: list[SplitCaseResult] = []
-
-    # i = 0: only D = S can have an empty clique trace
-    if all(n1 <= g.degree(v) <= n1 + j - 1 for v in K):
-        vertices = _checked(g, j, 0, set(S), "D = S")
-        results.append(SplitCaseResult(0, Witness(vertices)))
+    sset = frozenset(S)
+    if i == 0:
+        if all(n1 <= g.degree(v) <= n1 + j - 1 for v in K):
+            yield (), sset
+    elif i > j:
+        yield tuple(K), frozenset(u for u in S if g.degree(u) >= j + 1)
     else:
-        results.append(SplitCaseResult(0, None))
-
-    # 0 < i < j
-    for i in range(1, j):
-        best: frozenset[int] | None = None
         for ksub in combinations(K, i):
             seen: set[int] = set()
             for v in ksub:
                 seen |= g.neighbor_set(v)
-            s_i = [u for u in S if u not in seen]
-            s_iset = frozenset(s_i)
-            if any(len(g.neighbor_set(v) & s_iset) > j - i for v in K if v not in ksub):
+            if i == j:
+                if sset <= seen:
+                    yield ksub, frozenset()
                 continue
-            cand = _checked(g, j, i, set(ksub) | set(s_i), f"K_i={ksub}")
+            s_i = sset - seen
+            if all(len(g.neighbor_set(v) & s_i) <= j - i for v in K if v not in ksub):
+                yield ksub, s_i
+
+
+def split_case_candidates(g: Graph, part: SplitPartition, j: int) -> list[SplitCaseResult]:
+    """The smallest candidate of each trace class i in {0, ..., j, n1}."""
+    K = sorted(part.clique)
+    S = sorted(part.independent)
+    results: list[SplitCaseResult] = []
+    for i in range(j + 2):
+        best: frozenset[int] | None = None
+        for ksub, forced in _trace_class(g, K, S, i, j):
+            cand = _checked(g, j, i, set(ksub) | forced, f"clique part {ksub}")
             if best is None or len(cand) < len(best):
                 best = cand
+            if i == j:
+                break  # all case-j candidates have size j; first in lex order wins
         results.append(SplitCaseResult(i, Witness(best) if best is not None else None))
-
-    # i = j: a j-subset of K whose neighborhood covers S
-    best_j: frozenset[int] | None = None
-    sset = set(S)
-    for ksub in combinations(K, j):
-        seen = set()
-        for v in ksub:
-            seen |= g.neighbor_set(v)
-        if sset <= seen:
-            best_j = _checked(g, j, j, set(ksub), f"K_j={ksub}")
-            break  # all case-j candidates have size j; first in lex order wins
-    results.append(SplitCaseResult(j, Witness(best_j) if best_j is not None else None))
-
-    # i = n1: K inside forces the high-degree independents inside too
-    s2 = [u for u in S if g.degree(u) >= j + 1]
-    vertices = _checked(g, j, j + 1, set(K) | set(s2), "K union S2")
-    results.append(SplitCaseResult(j + 1, Witness(vertices)))
     return results
 
 
@@ -132,11 +114,6 @@ def gamma_1j_split(g: Graph, part: SplitPartition, j: int) -> tuple[int, Witness
     validate_split_partition(g, part)
     if not is_connected(g):
         raise PreconditionError("split solver requires a connected graph")
-    K = sorted(part.clique)
-    S = sorted(part.independent)
-    if len(K) <= j:
-        value, vertices = _small_clique_scan(g, K, S, j)
-        return value, Witness(vertices)
     best: Witness | None = None
     for case in split_case_candidates(g, part, j):
         cand = case.candidate
@@ -173,41 +150,8 @@ def is_gamma_n_split(g: Graph, part: SplitPartition, j: int) -> GammaNReport:
         raise PreconditionError("characterization requires a connected graph")
     K = sorted(part.clique)
     S = sorted(part.independent)
-    n1 = len(K)
-    failed: list[str] = []
-
-    if not any(g.degree(v) >= n1 + j or g.degree(v) < n1 for v in K):
-        failed.append("i")
-
-    cond2 = True
-    for i in range(1, j):
-        for ksub in combinations(K, i):
-            seen: set[int] = set()
-            for v in ksub:
-                seen |= g.neighbor_set(v)
-            s_i = frozenset(u for u in S if u not in seen)
-            if not any(len(g.neighbor_set(v) & s_i) >= j - i + 1
-                       for v in K if v not in ksub):
-                cond2 = False
-                break
-        if not cond2:
-            break
-    if not cond2:
-        failed.append("ii")
-
-    cond3 = True
-    sset = set(S)
-    for ksub in combinations(K, j):
-        seen = set()
-        for v in ksub:
-            seen |= g.neighbor_set(v)
-        if sset <= seen:
-            cond3 = False
-            break
-    if not cond3:
-        failed.append("iii")
-
+    failed = [name for name, classes in (("i", [0]), ("ii", range(1, j)), ("iii", [j]))
+              if any(next(_trace_class(g, K, S, i, j), None) is not None for i in classes)]
     if not all(g.degree(u) >= j + 1 for u in S):
         failed.append("iv")
-
     return GammaNReport(not failed, tuple(failed))

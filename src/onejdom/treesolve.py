@@ -174,9 +174,10 @@ def gamma_M(t: MLabeledTree, root: int = 0) -> tuple[int, Witness]:
 
 
 def gamma_1j_tree(g: Graph, j: int, root: int = 0) -> tuple[int, Witness]:
-    """Minimum (1,j)-set of a tree: the fold with uniform bands (1, j)."""
-    if not is_tree(g):
-        raise PreconditionError("input graph is not a tree")
+    """Minimum (1,j)-set of a tree: the fold with uniform bands (1, j).
+
+    The MLabeledTree built here rejects a non-tree input.
+    """
     return gamma_M(uniform_labeled_tree(g, j), root=root)
 
 

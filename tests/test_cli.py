@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from onejdom import parse_edge_list, verify_1j_set, write_edge_list
 from onejdom.cli import main
 from onejdom.generators import cycle_graph, path_graph, complete_graph
@@ -204,3 +206,92 @@ def test_solve_byte_identical_reruns(tmp_path, capsys):
     _, rep1, _ = run_cli(capsys, "solve", path, "--j", "2")
     _, rep2, _ = run_cli(capsys, "solve", path, "--j", "2")
     assert rep1 == rep2
+
+
+BAD_UTF8 = b"3 2\n0 1\n1 \xff2\n"
+
+
+def _bad_utf8_case(tmp_path, which):
+    """argv for a subcommand where only the file named by `which` is not UTF-8."""
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(BAD_UTF8)
+    tree = write_graph(tmp_path, path_graph(3), "tree.edges")
+    split = write_graph(tmp_path, parse_edge_list("3 2\n0 1\n0 2\n"), "split.edges")
+    part = tmp_path / "part.txt"
+    part.write_text("K: 0 1\nS: 2\n", encoding="utf-8")
+    vset = tmp_path / "set.txt"
+    vset.write_text("1\n", encoding="utf-8")
+    ex3c = tmp_path / "inst.ex3c"
+    ex3c.write_text("1 1\n1 2 3\n", encoding="utf-8")
+    cover = tmp_path / "cover.txt"
+    cover.write_text("1\n", encoding="utf-8")
+    out = str(tmp_path / "red.edges")
+    return {
+        "solve graph": ["solve", str(bad), "--j", "1"],
+        "solve labels": ["solve", tree, "--method", "tree", "--labels", str(bad)],
+        "solve partition": ["solve", split, "--j", "1", "--method", "split",
+                            "--partition", str(bad)],
+        "verify graph": ["verify", str(bad), str(vset), "--j", "1"],
+        "verify set": ["verify", tree, str(bad), "--j", "1"],
+        "construct graph": ["construct", str(bad), "--j", "18", "--seed", "1"],
+        "reduce ex3c": ["reduce", "--ex3c", str(bad), "--j", "2", "-o", out],
+        "reduce cover": ["reduce", "--ex3c", str(ex3c), "--j", "2", "-o", out,
+                         "--emit-witness", str(bad)],
+    }[which]
+
+
+@pytest.mark.parametrize("which", ["solve graph", "solve labels", "solve partition",
+                                   "verify graph", "verify set", "construct graph",
+                                   "reduce ex3c", "reduce cover"])
+def test_non_utf8_input_is_parse_error(tmp_path, capsys, which):
+    code, out, err = run_cli(capsys, *_bad_utf8_case(tmp_path, which))
+    assert code == 2
+    assert out == ""
+    lines = [ln for ln in err.splitlines() if not ln.startswith("elapsed_seconds=")]
+    assert len(lines) == 1
+    assert lines[0].startswith("parse error:") and "UTF-8" in lines[0]
+
+
+@pytest.mark.parametrize("argv", [["--gnp", "10", "abc"], ["--gnp", "x", "0.5"],
+                                  ["--split", "5", "x", ".3"], ["--split", "5", "4", "p"]])
+def test_gen_malformed_numbers_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "g.edges"
+    code, rep, err = run_cli(capsys, "gen", *argv, "--seed", "1", "-o", str(out))
+    assert code == 2
+    assert rep == ""
+    assert err.startswith(f"parse error: {argv[0]}: ")
+    assert not out.exists()
+
+
+def test_tree_solve_checks_tree_at_most_twice(tmp_path, capsys, monkeypatch):
+    import sys
+
+    import onejdom
+    from onejdom.graph import is_tree
+
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return is_tree(g)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "onejdom" or name.startswith("onejdom.")) \
+                and getattr(module, "is_tree", None) is is_tree:
+            monkeypatch.setattr(module, "is_tree", counting)
+    assert onejdom.treesolve.is_tree is counting
+    path = write_graph(tmp_path, path_graph(9))
+    for argv in (["--j", "2"], ["--j", "2", "--method", "tree"]):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "solve", path, *argv)
+        assert code == 0 and json.loads(out)["method"] == "tree"
+        assert 1 <= len(calls) <= 2, (argv, calls)
+
+
+def test_tree_method_on_non_tree_with_labels_exit_3(tmp_path, capsys):
+    path = write_graph(tmp_path, cycle_graph(3))
+    labels = tmp_path / "labels.txt"
+    labels.write_text("not a label file\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "solve", path, "--method", "tree", "--labels", str(labels))
+    assert code == 3
+    assert "requires a tree" in err

@@ -1,5 +1,10 @@
-import pytest
+from unittest.mock import patch
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import onejdom.splitsolve
 from conftest import gamma_n_split_example
 from onejdom import (Graph, PreconditionError, SplitPartition, complete_graph,
                      cycle_graph, exact_gamma_1j, gamma_1j_split, is_gamma_n_split,
@@ -155,3 +160,23 @@ def test_trace_restriction_on_all_minimum_witnesses():
             for combo in combinations(range(g.n), value):
                 if verify_1j_set(g, combo, j).valid:
                     assert len(part.clique & set(combo)) in allowed
+
+
+@settings(max_examples=150, deadline=None)
+@given(n1=st.integers(1, 7), n2=st.integers(0, 7), p=st.floats(0.05, 0.95),
+       seed=st.integers(0, 2**31 - 1), j=st.integers(1, 4))
+def test_gamma_n_test_reads_the_solver_scan(n1, n2, p, seed, j):
+    # the gamma = n test and the solver share one trace-class scan, for
+    # n1 > j and n1 <= j alike; the test must not verify any candidate
+    g, part = random_split(n1, n2, p, seed)
+    if g.n < 2:
+        return
+    cases = {c.case_index: c.candidate for c in split_case_candidates(g, part, j)}
+    with patch.object(onejdom.splitsolve, "verify_1j_set",
+                      side_effect=verify_1j_set) as counting_verify:
+        failed = set(is_gamma_n_split(g, part, j).failed)
+    assert counting_verify.call_count == 0
+    assert ("i" in failed) == (cases[0] is not None)
+    assert ("ii" in failed) == any(cases[i] is not None for i in range(1, j))
+    assert ("iii" in failed) == (cases[j] is not None)
+    assert ("iv" in failed) == (cases[j + 1].cardinality < g.n)
