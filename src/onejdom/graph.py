@@ -206,9 +206,21 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 def is_connected(g: Graph) -> bool:
+    """True iff one walk from vertex 0 reaches all n vertices (n = 0 counts
+    as connected)."""
     if g.n == 0:
         return True
-    return len(connected_components(g)) == 1
+    seen = bytearray(g.n)
+    seen[0] = 1
+    reached = 1
+    stack = [0]
+    while stack:
+        for u in g.neighbors(stack.pop()):
+            if not seen[u]:
+                seen[u] = 1
+                reached += 1
+                stack.append(u)
+    return reached == g.n
 
 
 def is_tree(g: Graph) -> bool:

@@ -2,19 +2,26 @@
 
 An MLabeledTree carries per-vertex bounds (lower[v], upper[v]); a feasible
 selection S must give every vertex outside S a selected-neighbor count
-inside its band.  The solver roots the tree and does a single post-order
-fold.  For each subtree root v it keeps
+inside its band.  The solver roots the tree by BFS and folds it from the
+leaves up.  Merging the children of v builds
 
   in_cost      minimum cost with v selected, and
   out_tab[c]   minimum cost with v unselected and exactly c children
                selected (c capped at min(upper[v], #children): a larger
                count violates v's band even without help from the parent),
 
-and band checks for a child u are deferred to the merge into its parent:
-with the parent unselected u's count must lie in [lower[u], upper[u]],
-with the parent selected the admissible window shifts down by one to
-[max(lower[u]-1, 0), upper[u]-1].  Uniform bands (1, j) make the result the
-minimum (1,j)-set of the tree; run time is O(n * max upper bound).
+and band checks for v are deferred to the merge into its parent: with the
+parent unselected v's count must lie in [lower[v], upper[v]], with the
+parent selected the admissible window shifts down by one to
+[max(lower[v]-1, 0), upper[v]-1].  So out_tab lives only while v is merged;
+the fold keeps flat per-vertex int arrays: in_cost, the two window minima
+plain and shift of out_tab, and their argmins plain_arg and shift_arg.
+
+The traceback recomputes the choices instead of storing them.  A selected
+vertex reads each child's state from shift, shift_arg and in_cost; an
+unselected vertex with count c rebuilds its prefix tables over its children
+and walks them backwards.  Uniform bands (1, j) make the result the minimum
+(1,j)-set of the tree; run time and memory are O(n * max upper bound).
 """
 
 from __future__ import annotations
@@ -56,119 +63,94 @@ def uniform_labeled_tree(g: Graph, j: int) -> MLabeledTree:
     return MLabeledTree(g, (1,) * g.n, (j,) * g.n)
 
 
-def _rooted_order(g: Graph, root: int) -> tuple[list[int], list[int], list[list[int]]]:
-    """Iterative DFS: returns (post-order, parent array, children lists)."""
-    n = g.n
-    parent = [-2] * n
-    parent[root] = -1
-    children: list[list[int]] = [[] for _ in range(n)]
-    post: list[int] = []
-    stack: list[tuple[int, bool]] = [(root, False)]
-    while stack:
-        v, done = stack.pop()
-        if done:
-            post.append(v)
-            continue
-        stack.append((v, True))
-        for u in reversed(g.neighbors(v)):
-            if parent[u] == -2:
-                parent[u] = v
-                children[v].append(u)
-                stack.append((u, False))
-    for v in range(n):
-        children[v].sort()
-    return post, parent, children
-
-
-def _window_min(tab: list[int], lo: int, hi: int) -> tuple[int, int | None]:
+def _window_min(tab: list[int], lo: int, hi: int) -> tuple[int, int]:
     """(min value, argmin) of tab over [lo, hi] clamped to the table; ties
-    resolve to the lowest count."""
-    best, arg = _INF, None
+    resolve to the lowest count, and an empty or infeasible window gives
+    (_INF, -1)."""
+    best, arg = _INF, -1
     for c in range(max(lo, 0), min(hi, len(tab) - 1) + 1):
         if tab[c] < best:
             best, arg = tab[c], c
     return best, arg
 
 
+def _merge(tab: list[int], plain: int, child_in: int) -> list[int]:
+    """Min-plus step of an unselected vertex's count table over one more
+    child: the child stays out (count unchanged, cost plain) or is selected
+    (count + 1, cost child_in).  Sums with _INF in them stay >= _INF, so they
+    remain infeasible without clamping."""
+    ntab = [a + plain for a in tab]
+    for c in range(len(tab) - 1):
+        cand = tab[c] + child_in
+        if cand < ntab[c + 1]:
+            ntab[c + 1] = cand
+    return ntab
+
+
 def gamma_M(t: MLabeledTree, root: int = 0) -> tuple[int, Witness]:
     """Minimum cardinality of a band-feasible set, with a witness.
 
-    The value is independent of the chosen root; the witness tie-breaks
-    toward unselected vertices, then lowest child counts.
+    The fold keeps five ints per vertex (in_cost and the two window minima
+    of the out-table with their argmins); the traceback recomputes every
+    other choice from them.  The value is independent of the chosen root;
+    the witness tie-breaks toward unselected vertices, then lowest child
+    counts.
     """
     g = t.tree
     n = g.n
     if not 0 <= root < n:
         raise PreconditionError(f"root {root} out of range")
     lower, upper = t.lower, t.upper
-    post, _, children = _rooted_order(g, root)
+    nbrs = g.neighbors
+    # BFS rooting; the children of v are its sorted neighbors minus parent[v]
+    parent = [-1] * n
+    order = [root]
+    for v in order:
+        p = parent[v]
+        for u in nbrs(v):
+            if u != p:
+                parent[u] = v
+                order.append(u)
 
     in_cost = [0] * n
-    out_tab: list[list[int]] = [[] for _ in range(n)]
-    # back-pointers: per child either ("sel",) or ("out", count chosen for it)
-    in_back: list[list[tuple]] = [[] for _ in range(n)]
-    out_back: list[list[dict[int, tuple[int, tuple]]]] = [[] for _ in range(n)]
-
-    for v in post:
-        kids = children[v]
-        cap = min(upper[v], len(kids))
+    plain, plain_arg = [0] * n, [0] * n
+    shift, shift_arg = [0] * n, [0] * n
+    for v in reversed(order):
+        p = parent[v]
         icost = 1
-        ichoice: list[tuple] = []
-        tab = [0] + [_INF] * cap
-        layers: list[dict[int, tuple[int, tuple]]] = []
-        for u in kids:
-            plain, plain_arg = _window_min(out_tab[u], lower[u], upper[u])
-            shift, shift_arg = _window_min(out_tab[u], max(lower[u] - 1, 0), upper[u] - 1)
-            child_in = in_cost[u]
-            # contribution to "v selected": child band shifts down by one
-            if shift <= child_in:
-                icost += shift
-                ichoice.append(("out", shift_arg))
-            else:
-                icost += child_in
-                ichoice.append(("sel",))
-            # contribution to "v unselected": min-plus merge on child count
-            ntab = [_INF] * (cap + 1)
-            layer: dict[int, tuple[int, tuple]] = {}
-            if plain < _INF:
-                for c in range(cap + 1):
-                    cand = tab[c] + plain
-                    if cand < ntab[c]:
-                        ntab[c] = cand
-                        layer[c] = (c, ("out", plain_arg))
-            for c in range(cap):
-                if tab[c] < _INF:
-                    cand = tab[c] + child_in
-                    if cand < ntab[c + 1]:
-                        ntab[c + 1] = cand
-                        layer[c + 1] = (c, ("sel",))
-            tab = ntab
-            layers.append(layer)
+        tab = [0] + [_INF] * min(upper[v], len(nbrs(v)) - (p >= 0))
+        for u in nbrs(v):
+            if u != p:
+                # with v selected the child's band shifts down by one
+                icost += min(shift[u], in_cost[u])
+                tab = _merge(tab, plain[u], in_cost[u])
         in_cost[v] = icost
-        out_tab[v] = tab
-        in_back[v] = ichoice
-        out_back[v] = layers
+        plain[v], plain_arg[v] = _window_min(tab, lower[v], upper[v])
+        shift[v], shift_arg[v] = _window_min(tab, lower[v] - 1, upper[v] - 1)
 
-    root_out, root_arg = _window_min(out_tab[root], lower[root], upper[root])
-    if root_out <= in_cost[root]:
-        value, start = root_out, ("out", root_arg)
-    else:
-        value, start = in_cost[root], ("sel",)
-
-    selected: set[int] = set()
-    stack: list[tuple[int, tuple]] = [(root, start)]
+    # traceback: a state is (vertex, its child count if unselected, else -1)
+    value = min(plain[root], in_cost[root])
+    selected: list[int] = []
+    stack = [(root, plain_arg[root] if plain[root] <= in_cost[root] else -1)]
     while stack:
-        v, st = stack.pop()
-        if st[0] == "sel":
-            selected.add(v)
-            for u, choice in zip(children[v], in_back[v]):
-                stack.append((u, choice))
-        else:
-            c = st[1]
-            for u, layer in zip(reversed(children[v]), reversed(out_back[v])):
-                prev_c, choice = layer[c]
-                stack.append((u, choice))
-                c = prev_c
+        v, c = stack.pop()
+        p = parent[v]
+        kids = [u for u in nbrs(v) if u != p]
+        if c < 0:
+            selected.append(v)
+            stack.extend((u, shift_arg[u] if shift[u] <= in_cost[u] else -1)
+                         for u in kids)
+            continue
+        tabs = [[0] + [_INF] * min(upper[v], len(kids))]
+        for u in kids[:-1]:
+            tabs.append(_merge(tabs[-1], plain[u], in_cost[u]))
+        # walk the prefix tables backwards; the merge keeps a child out on ties
+        for u, tab in zip(reversed(kids), reversed(tabs)):
+            if c and tab[c - 1] + in_cost[u] < tab[c] + plain[u]:
+                stack.append((u, -1))
+                c -= 1
+            else:
+                stack.append((u, plain_arg[u]))
     assert len(selected) == value
     return value, Witness(frozenset(selected))
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -143,3 +145,70 @@ def test_witness_band_validity_uniform():
             value, witness = gamma_1j_tree(g, j)
             assert verify_1j_set(g, witness.vertices, j).valid
             assert witness.cardinality == value
+
+
+def _pinned_fold_cases():
+    """(value, sorted witness) of gamma_M on 300 seeded small trees: uniform
+    bands (1, j) for j = 1..4 and random bands with upper bounds up to 8,
+    each folded from a random root."""
+    rnd = random.Random(4242)
+    rows = []
+    for trial in range(300):
+        n = rnd.randint(1, 40)
+        g = random_tree(n, 70_000 + trial)
+        if trial % 2:
+            t = uniform_labeled_tree(g, rnd.randint(1, 4))
+        else:
+            upper = [rnd.randint(0, 8) for _ in range(n)]
+            lower = [rnd.randint(0, min(b, 3)) for b in upper]
+            t = MLabeledTree(g, tuple(lower), tuple(upper))
+        value, witness = gamma_M(t, root=rnd.randrange(n))
+        rows.append([value, witness.sorted()])
+    return rows
+
+
+def test_fold_witnesses_pinned():
+    # the digest pins the documented tie-break (toward unselected vertices,
+    # then lowest child counts), not just the values
+    rows = _pinned_fold_cases()
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "9eae80fad61f5c0df16d41dbb11f3c10f015673dec75c88a43c3d2d3602cf1d9"
+
+
+@pytest.mark.parametrize("t, root, expected", [
+    (uniform_labeled_tree(path_graph(4), 2), 0, (2, [1, 3])),
+    (uniform_labeled_tree(path_graph(7), 1), 3, (3, [1, 2, 5])),
+    (uniform_labeled_tree(path_graph(7), 1), 0, (3, [1, 4, 5])),
+    (MLabeledTree(path_graph(3), (0, 0, 0), (1, 1, 1)), 1, (0, [])),
+    (uniform_labeled_tree(star_graph(5), 2), 2, (1, [0])),
+    (MLabeledTree(star_graph(4), (0, 1, 1, 1, 1), (0, 1, 1, 1, 1)), 1, (1, [0])),
+    (MLabeledTree(path_graph(5), (0, 2, 0, 2, 0), (2, 2, 2, 2, 2)), 0, (2, [1, 3])),
+    (MLabeledTree(star_graph(3), (3, 0, 0, 0), (3, 1, 1, 1)), 0, (1, [0])),
+])
+def test_fold_witness_literals(t, root, expected):
+    value, witness = gamma_M(t, root=root)
+    assert (value, witness.sorted()) == expected
+
+
+def test_deep_path_rooted_at_one_end():
+    # the traceback descends 1e5 levels; nothing in the fold recurses
+    n = 100_000
+    t = uniform_labeled_tree(path_graph(n), 2)
+    value, witness = gamma_M(t, root=0)
+    assert value == witness.cardinality == (n + 2) // 3
+    assert not m_band_violations(t, witness.vertices)
+
+
+def test_wide_star_centre_unselected():
+    # leaves banded [0, 0..8] except five at [1, ..]: leaving the centre out
+    # costs those five, so its traceback walks prefix tables over 1e5 children
+    leaves = 100_000
+    rnd = random.Random(8)
+    forced = set(rnd.sample(range(1, leaves + 1), 5))
+    lower = [1] + [1 if v in forced else 0 for v in range(1, leaves + 1)]
+    upper = [8] + [rnd.randint(lower[v], 8) for v in range(1, leaves + 1)]
+    t = MLabeledTree(star_graph(leaves), tuple(lower), tuple(upper))
+    value, witness = gamma_M(t)
+    assert value == witness.cardinality == 5
+    assert witness.vertices == forced
+    assert not m_band_violations(t, witness.vertices)
