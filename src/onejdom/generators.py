@@ -113,8 +113,8 @@ def random_regular(n: int, d: int, seed: int, max_restarts: int = 200) -> Graph:
 
     Colliding pairs (loops or repeats) are thrown back into the pool and
     re-paired; only a provably stuck pool forces a full restart.  Raises
-    PreconditionError for infeasible (n, d) and RuntimeError if the restart
-    budget is exhausted.
+    PreconditionError for infeasible (n, d) and when all `max_restarts`
+    restarts end stuck.
     """
     if d < 0 or d >= n:
         raise PreconditionError("need 0 <= d < n")
@@ -145,7 +145,7 @@ def random_regular(n: int, d: int, seed: int, max_restarts: int = 200) -> Graph:
             stubs = [v for v, c in potential.items() for _ in range(c)]
         if not failed:
             return Graph(n, sorted(edges))
-    raise RuntimeError(f"pairing model failed {max_restarts} restarts for n={n}, d={d}")
+    raise PreconditionError(f"pairing model failed {max_restarts} restarts for n={n}, d={d}")
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:

@@ -26,31 +26,95 @@ class ChordalityResult:
 
 
 def lex_bfs(g: Graph) -> list[int]:
-    """Lexicographic BFS visit order via partition refinement.
+    """Lexicographic BFS visit order via partition refinement, in O(n + m).
 
-    Ties are broken toward the lowest vertex id, so the order is a pure
-    function of the graph.
+    The unvisited vertices form a doubly linked list of classes; each class
+    keeps a member list in ascending id order, a read pointer and a live
+    count, and `cls[v]` names v's current class (-1 once v is visited).
+    The next vertex is the first live member of the first class, so ties
+    are broken toward the lowest vertex id and the order is a pure function
+    of the graph.  Visiting v walks only its sorted neighbour list: an
+    unvisited neighbour w leaves its class c for the class split from c
+    during this visit, created on the first such w and linked immediately
+    before c.  Appending in ascending id order keeps every class sorted, so
+    each class splits into neighbours first, then the rest, both in their
+    old order.  A class left empty is unlinked and its id reused, so the
+    per-class lists stay as long as the most classes alive at once; entries
+    of vertices that moved on are skipped through the read pointer.
     """
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         return []
-    classes: list[list[int]] = [list(range(g.n))]
+    cls = [0] * n
+    members: list[list[int] | None] = [list(range(n))]
+    read, live = [0], [n]
+    prev, nxt = [-1], [-1]
+    split, split_by = [-1], [-1]  # class split from c during visit split_by[c]
+    free: list[int] = []
+    first = 0
     order: list[int] = []
-    while classes:
-        head = classes[0]
-        v = head.pop(0)
-        if not head:
-            classes.pop(0)
+
+    def unlink(c: int) -> None:
+        nonlocal first
+        p, q = prev[c], nxt[c]
+        if p < 0:
+            first = q
+        else:
+            nxt[p] = q
+        if q >= 0:
+            prev[q] = p
+        members[c] = None
+        free.append(c)
+
+    while first >= 0:
+        c = first
+        mem = members[c]
+        i = read[c]
+        while cls[mem[i]] != c:
+            i += 1
+        v = mem[i]
+        read[c] = i + 1
         order.append(v)
-        nbrs = g.neighbor_set(v)
-        refined: list[list[int]] = []
-        for cls in classes:
-            inside = [x for x in cls if x in nbrs]
-            outside = [x for x in cls if x not in nbrs]
-            if inside:
-                refined.append(inside)
-            if outside:
-                refined.append(outside)
-        classes = refined
+        cls[v] = -1
+        live[c] -= 1
+        if not live[c]:
+            unlink(c)
+        for w in g.neighbors(v):
+            c = cls[w]
+            if c < 0:
+                continue
+            if split_by[c] == v:
+                d = split[c]
+            else:
+                if free:
+                    d = free.pop()
+                    members[d] = []
+                    read[d] = 0
+                else:
+                    d = len(members)
+                    members.append([])
+                    read.append(0)
+                    live.append(0)
+                    prev.append(-1)
+                    nxt.append(-1)
+                    split.append(-1)
+                    split_by.append(-1)
+                split[c] = d
+                split_by[c] = v
+                p = prev[c]
+                prev[d] = p
+                nxt[d] = c
+                prev[c] = d
+                if p < 0:
+                    first = d
+                else:
+                    nxt[p] = d
+            members[d].append(w)
+            live[d] += 1
+            cls[w] = d
+            live[c] -= 1
+            if not live[c]:
+                unlink(c)
     return order
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from onejdom import parse_edge_list, verify_1j_set, write_edge_list
 from onejdom.cli import main
-from onejdom.generators import cycle_graph, path_graph, complete_graph
+from onejdom.generators import cycle_graph, path_graph, complete_graph, random_regular
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +136,18 @@ def test_gen_regular_passes_degree_audit(tmp_path, capsys):
     assert code == 0
     g = parse_edge_list(out.read_text(encoding="utf-8"))
     assert all(g.degree(v) == 12 for v in range(g.n))
+
+
+def test_gen_regular_restarts_exhausted_exit_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("onejdom.cli.random_regular",
+                        lambda n, d, seed: random_regular(n, d, seed, max_restarts=0))
+    code, out, err = run_cli(capsys, "gen", "--regular", "10", "3", "--seed", "0",
+                             "-o", str(tmp_path / "r.edges"))
+    assert code == 3
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("precondition:")] == [
+        "precondition: pairing model failed 0 restarts for n=10, d=3"]
+    assert "Traceback" not in err
 
 
 def test_gen_split_writes_partition_sidecar(tmp_path, capsys):

@@ -37,6 +37,11 @@ def test_random_regular_d_zero():
     assert g.m == 0
 
 
+def test_random_regular_restarts_exhausted_is_precondition_error():
+    with pytest.raises(PreconditionError, match="restarts"):
+        random_regular(10, 3, 0, max_restarts=0)
+
+
 def test_random_regular_infeasible():
     with pytest.raises(PreconditionError):
         random_regular(5, 3, 0)  # odd stub count
