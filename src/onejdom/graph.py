@@ -9,7 +9,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import ParseError, PreconditionError
 
@@ -17,7 +20,7 @@ from .errors import ParseError, PreconditionError
 class Graph:
     """Simple undirected graph with per-vertex sorted neighbor lists."""
 
-    __slots__ = ("n", "m", "_nbrs", "_nbr_sets", "_masks")
+    __slots__ = ("n", "m", "_nbrs", "_nbr_sets", "_masks", "_csr")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -39,6 +42,7 @@ class Graph:
         self._nbr_sets = tuple(frozenset(s) for s in nbr_sets)
         self._nbrs = tuple(tuple(sorted(s)) for s in nbr_sets)
         self._masks: tuple[int, ...] | None = None
+        self._csr: tuple[np.ndarray, np.ndarray] | None = None
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._nbrs[v]
@@ -80,6 +84,17 @@ class Graph:
             self._masks = tuple(masks)
         return self._masks
 
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only int32 (indptr, indices), v's sorted neighbors being
+        indices[indptr[v]:indptr[v + 1]]; computed once and cached."""
+        if self._csr is None:
+            indptr = np.zeros(self.n + 1, dtype=np.int32)
+            np.cumsum([len(t) for t in self._nbrs], out=indptr[1:])
+            indices = np.fromiter(chain.from_iterable(self._nbrs), np.int32, 2 * self.m)
+            indptr.flags.writeable = indices.flags.writeable = False
+            self._csr = (indptr, indices)
+        return self._csr
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -89,6 +104,13 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _selected_counts(g: Graph, selected: np.ndarray) -> np.ndarray:
+    """Selected-neighbor count of every vertex, from a boolean mask over the
+    ids: adjacency is symmetric, so it counts the CSR rows of the selected."""
+    indptr, indices = g.csr()
+    return np.bincount(indices[np.repeat(selected, indptr[1:] - indptr[:-1])], minlength=g.n)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,11 @@ resampling semantics because exactly one failing clause's variables are
 redrawn per step.  Note the over-domination clause contains v's own
 variable: the bad event requires v itself to be unselected, so redrawing
 may equally well fix the event by pulling v in.
+
+The state is a selection mask and the selected-neighbor counts over the
+CSR view.  Each step finds the violated vertices in one array pass, in id
+order, and a flipped vertex updates the counts along its neighbor slice;
+the pass is O(n), so a run that hits the cap costs O(cap * n).
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import numpy as np
 from .errors import (InfeasibleProbabilityError, InternalContradictionError,
                      PreconditionError, PremiseInfeasibleError,
                      ResampleLimitError)
-from .graph import Graph
+from .graph import Graph, _selected_counts
 from .oracle import Witness, verify_1j_set
 
 E_MINUS_1 = math.e - 1.0
@@ -182,9 +187,11 @@ def lll_params(j: int, n: int, delta_max: int, delta_min: int, c: float = 1.0) -
 def lll_params_for_graph(g: Graph, j: int, c: float = 1.0) -> LLLParams:
     if g.n == 0:
         raise PreconditionError("empty graph")
-    if g.min_degree() < 1:
+    degrees = np.diff(g.csr()[0])
+    delta_min, delta_max = int(degrees.min()), int(degrees.max())
+    if delta_min < 1:
         raise PreconditionError("graph has an isolated vertex (min degree 0)")
-    return lll_params(j, g.n, g.max_degree(), g.min_degree(), c=c)
+    return lll_params(j, g.n, delta_max, delta_min, c=c)
 
 
 @dataclass(frozen=True)
@@ -193,6 +200,10 @@ class MTConfig:
     spawn_key: tuple[int, ...] = ()
     max_resamples: int | None = None  # defaults to 1000 * n at run time
     randomized_clause_choice: bool = False
+
+    def __post_init__(self):
+        if self.max_resamples is not None and self.max_resamples < 0:
+            raise PreconditionError("max_resamples must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -209,75 +220,55 @@ class MTRun:
         return None if self.result is None else self.result.cardinality
 
 
-def _violations(g: Graph, in_d: list[bool], cnt: list[int], j: int) -> list[tuple[str, int]]:
-    out = []
-    for v in range(g.n):
-        if in_d[v]:
-            continue
-        if cnt[v] == 0:
-            out.append(("dom", v))
-        elif cnt[v] > j:
-            out.append(("over", v))
-    return out
-
-
 def mt_construct(g: Graph, j: int, config: MTConfig) -> MTRun:
     """Run the resampling constructor until no clause fails.
 
+    Each step resamples the clause of the lowest-id violated vertex, or of a
+    uniformly drawn one with randomized_clause_choice.
     Raises ResampleLimitError (with a violation census) if the cap is hit;
     a terminated run's witness always verifies.
     """
-    if j < 1:
-        raise PreconditionError("j must be a positive integer")
-    params = lll_params_for_graph(g, j)
-    p = params.p
+    return _mt_run(g, j, lll_params_for_graph(g, j).p, config)
+
+
+def _mt_run(g: Graph, j: int, p: float, config: MTConfig) -> MTRun:
+    """One resampling run at selection probability p (see the module docstring)."""
     n = g.n
     cap = config.max_resamples if config.max_resamples is not None else DEFAULT_RESAMPLE_FACTOR * n
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(config.seed, spawn_key=config.spawn_key)))
+    indptr, indices = g.csr()
 
-    in_d = [bool(rng.random() < p) for _ in range(n)]
-    cnt = [0] * n
-    for v in range(n):
-        if in_d[v]:
-            for u in g.neighbors(v):
-                cnt[u] += 1
-
+    in_d = rng.random(n) < p  # the same doubles as n scalar draws
+    cnt = _selected_counts(g, in_d)
     resamples = 0
     while True:
-        # deterministic sweep in id order; a domination failure at a vertex
-        # outranks an over-domination failure at the same vertex
-        violated = _violations(g, in_d, cnt, j)
-        if not violated:
+        violated = np.flatnonzero(~in_d & ((cnt == 0) | (cnt > j)))
+        if not len(violated):
             break
         if resamples >= cap:
-            census = {
-                "undominated": sum(1 for kind, _ in violated if kind == "dom"),
-                "overdominated": sum(1 for kind, _ in violated if kind == "over"),
-            }
+            undominated = int(np.count_nonzero(cnt[violated] == 0))
+            census = {"undominated": undominated,
+                      "overdominated": len(violated) - undominated}
             run = MTRun(config.seed, config.spawn_key, cap, resamples, False, None)
             raise ResampleLimitError(
                 f"no termination within {cap} resampling events "
                 f"(remaining violations: {census})", run=run, census=census)
         if config.randomized_clause_choice:
-            kind, v = violated[int(rng.integers(0, len(violated)))]
+            v = violated[int(rng.integers(0, len(violated)))]
         else:
-            kind, v = violated[0]
-        if kind == "dom":
-            clause = sorted((v, *g.neighbors(v)))
-        else:
-            chosen = [u for u in g.neighbors(v) if in_d[u]][: j + 1]
-            clause = sorted((v, *chosen))
-        for w in clause:
-            new = bool(rng.random() < p)
+            v = violated[0]
+        nbrs = indices[indptr[v]:indptr[v + 1]]
+        if cnt[v]:  # over-dominated: v and its j+1 lowest-id selected neighbors
+            nbrs = nbrs[in_d[nbrs]][: j + 1]
+        for w in np.sort(np.append(nbrs, v)):
+            new = rng.random() < p
             if new != in_d[w]:
-                delta = 1 if new else -1
-                for u in g.neighbors(w):
-                    cnt[u] += delta
+                cnt[indices[indptr[w]:indptr[w + 1]]] += 1 if new else -1
                 in_d[w] = new
         resamples += 1
 
-    result = frozenset(v for v in range(n) if in_d[v])
+    result = frozenset(np.flatnonzero(in_d).tolist())
     report = verify_1j_set(g, result, j)
     if not report.valid:
         raise InternalContradictionError(
@@ -293,16 +284,18 @@ def mt_trials(g: Graph, j: int, master_seed: int, trials: int,
     """Independent runs, trial t drawing from spawn key (t) of the master seed.
 
     Runs that hit the cap are recorded with terminated=False instead of
-    raising, so aggregate statistics always cover every trial.
+    raising, so aggregate statistics always cover every trial.  The
+    parameters are derived once for all trials.
     """
     if trials < 1:
         raise PreconditionError("need at least one trial")
+    p = lll_params_for_graph(g, j).p
     runs: list[MTRun] = []
     for t in range(trials):
         cfg = MTConfig(seed=master_seed, spawn_key=(t,), max_resamples=max_resamples,
                        randomized_clause_choice=randomized_clause_choice)
         try:
-            runs.append(mt_construct(g, j, cfg))
+            runs.append(_mt_run(g, j, p, cfg))
         except ResampleLimitError as exc:
             runs.append(exc.run)
     return runs

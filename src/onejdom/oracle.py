@@ -21,8 +21,10 @@ from itertools import combinations
 from math import ceil
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import PreconditionError, SizeGuardError
-from .graph import Graph
+from .graph import Graph, _selected_counts
 
 ENUM_GUARD = 20
 BNB_GUARD = 36
@@ -57,23 +59,23 @@ class VerifyReport:
 
 
 def verify_1j_set(g: Graph, vertices: Iterable[int], j: int) -> VerifyReport:
-    """Check the (1,j) condition for every vertex outside the given set."""
+    """Check the (1,j) condition for every vertex outside the given set.
+
+    After a range check of the ids, one selected-neighbor count over the CSR
+    view yields the undominated and overdominated vertices, in id order.
+    """
     if j < 1:
         raise PreconditionError("j must be a positive integer")
     dset = frozenset(vertices)
     for v in dset:
         if not 0 <= v < g.n:
             raise PreconditionError(f"vertex id {v} out of range")
-    undominated: list[int] = []
-    overdominated: list[int] = []
-    for v in range(g.n):
-        if v in dset:
-            continue
-        c = len(dset & g.neighbor_set(v))
-        if c == 0:
-            undominated.append(v)
-        elif c > j:
-            overdominated.append(v)
+    selected = np.zeros(g.n, dtype=bool)
+    selected[np.fromiter(dset, dtype=np.intp, count=len(dset))] = True
+    cnt = _selected_counts(g, selected)
+    outside = ~selected
+    undominated = np.flatnonzero(outside & (cnt == 0)).tolist()
+    overdominated = np.flatnonzero(outside & (cnt > j)).tolist()
     return VerifyReport(not undominated and not overdominated,
                         tuple(undominated), tuple(overdominated))
 

@@ -28,8 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import PreconditionError
-from .graph import Graph, is_tree
+from .graph import Graph, _selected_counts, is_tree
 from .oracle import Witness
 
 _INF = 1 << 30
@@ -164,13 +166,11 @@ def gamma_1j_tree(g: Graph, j: int, root: int = 0) -> tuple[int, Witness]:
 
 
 def m_band_violations(t: MLabeledTree, vertices) -> list[int]:
-    """Vertices outside the set whose selected-neighbor count leaves its band."""
-    sset = frozenset(vertices)
-    bad = []
-    for v in range(t.tree.n):
-        if v in sset:
-            continue
-        c = len(sset & t.tree.neighbor_set(v))
-        if not t.lower[v] <= c <= t.upper[v]:
-            bad.append(v)
-    return bad
+    """Vertices outside the set whose selected-neighbor count leaves its band,
+    in id order; ids outside the tree select nothing."""
+    n = t.tree.n
+    selected = np.zeros(n, dtype=bool)
+    selected[np.fromiter((v for v in frozenset(vertices) if 0 <= v < n), dtype=np.intp)] = True
+    cnt = _selected_counts(t.tree, selected)
+    outside_band = (cnt < np.asarray(t.lower)) | (cnt > np.asarray(t.upper))
+    return np.flatnonzero(~selected & outside_band).tolist()

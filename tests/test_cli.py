@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
-from onejdom import parse_edge_list, verify_1j_set, write_edge_list
+from onejdom import (Graph, feasibility_threshold, parse_edge_list, verify_1j_set,
+                     write_edge_list)
 from onejdom.cli import main
 from onejdom.generators import cycle_graph, path_graph, complete_graph, random_regular
 
@@ -307,3 +309,62 @@ def test_tree_method_on_non_tree_with_labels_exit_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "solve", path, "--method", "tree", "--labels", str(labels))
     assert code == 3
     assert "requires a tree" in err
+
+
+def _thinned_regular(n, d, seed, every):
+    """random_regular(n, d, seed) minus every `every`-th edge: irregular degrees."""
+    edges = [e for i, e in enumerate(random_regular(n, d, seed).edges()) if i % every]
+    return Graph(n, edges)
+
+
+def test_construct_stdout_pinned(tmp_path, capsys, monkeypatch):
+    # relative paths keep the echoed argv (and so the digest) independent of tmp_path;
+    # digest recorded before the array census replaced the per-vertex sweep
+    monkeypatch.chdir(tmp_path)
+    base = random_regular(120, 12, 77)
+    graphs = {
+        "r40": random_regular(40, 12, 9),
+        "r60": random_regular(60, 12, 8),
+        "r200": random_regular(200, 16, 4),
+        "r2000": random_regular(2000, 12, 1),
+        "irr120": Graph(120, [*base.edges(), (0, 2), (1, 3)]),
+        "irr150": _thinned_regular(150, 14, 5, 9),
+    }
+    for name, g in graphs.items():
+        (tmp_path / f"{name}.edges").write_text(write_edge_list(g), encoding="utf-8")
+    jirr = {name: int(feasibility_threshold(graphs[name].max_degree(),
+                                            graphs[name].min_degree())) + 1
+            for name in ("irr120", "irr150")}
+    runs = [
+        ("r40", 18, 66, 4, 0), ("r40", 18, 1577, 3, 0), ("r40", 18, 359, 6, None),
+        ("r40", 18, 5, 8, None), ("r60", 18, 831, 4, 0), ("r60", 18, 939, 4, None),
+        ("r60", 18, 11, 6, None), ("r200", 19, 3, 4, None), ("r200", 19, 4, 4, 0),
+        ("r2000", 18, 3, 2, None), ("irr120", jirr["irr120"], 123, 8, None),
+        ("irr120", jirr["irr120"], 7, 8, 0), ("irr150", jirr["irr150"], 2, 6, None),
+        ("irr150", jirr["irr150"], 9, 6, 0),
+    ]
+    digest = hashlib.sha256()
+    capped = 0
+    for name, j, seed, trials, cap in runs:
+        argv = ["construct", f"{name}.edges", "--j", str(j), "--seed", str(seed),
+                "--trials", str(trials)]
+        if cap is not None:
+            argv += ["--max-resamples", str(cap)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        capped += sum(1 for ln in out.splitlines() if '"terminated": false' in ln)
+        digest.update(f"{code}\n{out}".encode())
+    assert capped >= 2  # the pin covers runs that hit the cap
+    assert digest.hexdigest() == "6a51ba23ee36b7c52830a906c08617ca64fc7159032738a25c3e1dabe03add9d"
+
+
+@pytest.mark.parametrize("cap", ["-1", "-5"])
+def test_construct_negative_resample_cap_exit_3(tmp_path, capsys, cap):
+    path = write_graph(tmp_path, random_regular(40, 12, 9))
+    code, out, err = run_cli(capsys, "construct", path, "--j", "18", "--seed", "1",
+                             "--max-resamples", cap)
+    assert code == 3
+    assert out == ""
+    lines = [ln for ln in err.splitlines() if not ln.startswith("elapsed_seconds=")]
+    assert len(lines) == 1 and lines[0].startswith("precondition:")
+    assert "max_resamples" in lines[0]

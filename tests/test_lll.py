@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -178,3 +180,32 @@ def test_mt_on_irregular_degrees():
     for run in runs:
         assert run.terminated
         assert verify_1j_set(g, run.result.vertices, j).valid
+
+
+def test_mt_trials_randomized_choice_pinned():
+    # digest recorded before the array census replaced the per-vertex sweep; the
+    # clause draw consumes generator output, so any change in the sweep order or
+    # in the draws it makes shows here
+    cases = [(random_regular(40, 12, 9), 18, 66, 40, None),
+             (random_regular(40, 12, 9), 18, 1577, 12, 0),
+             (random_regular(60, 12, 8), 18, 831, 30, None),
+             (random_regular(60, 12, 8), 18, 939, 20, 0),
+             (random_regular(300, 16, 2), 19, 7, 6, None)]
+    rows = []
+    for g, j, seed, trials, cap in cases:
+        for run in mt_trials(g, j, seed, trials, max_resamples=cap,
+                             randomized_clause_choice=True):
+            rows.append([run.seed, list(run.spawn_key), run.max_resamples,
+                         run.resample_count, run.terminated,
+                         None if run.result is None else run.result.sorted()])
+    assert any(r[3] for r in rows) and not all(r[4] for r in rows)
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "6c533eafbf12e2fbf6437bbffb420ab64afc26f9db342b2525379a4cbb3090eb"
+
+
+@pytest.mark.parametrize("cap", [-1, -5])
+def test_negative_resample_cap_is_precondition_error(cap):
+    with pytest.raises(PreconditionError, match="max_resamples"):
+        MTConfig(seed=0, max_resamples=cap)
+    with pytest.raises(PreconditionError, match="max_resamples"):
+        mt_trials(random_regular(40, 12, 9), 18, 1, 2, max_resamples=cap)
