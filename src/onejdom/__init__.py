@@ -13,13 +13,12 @@ from .errors import (InfeasibleProbabilityError, InternalContradictionError,
 from .generators import (complete_graph, composite_gamma_n, cycle_graph, gnp,
                          path_graph, random_regular, random_split, random_tree,
                          star_graph)
-from .graph import (Graph, SplitPartition, connected_components, is_connected,
-                    is_tree, parse_edge_list, validate_split_partition,
-                    write_edge_list)
+from .graph import (Graph, SplitPartition, is_connected, is_tree, parse_edge_list,
+                    validate_split_partition, write_edge_list)
 from .lll import (LLLParams, MTConfig, MTRun, compute_alpha, compute_alpha_bisect,
                   regular_graph_bound, f_alpha, feasibility_threshold, g_delta,
                   lll_params, lll_params_for_graph, mt_construct, mt_trials,
-                  predicted_bound, s_alpha, selection_probability)
+                  s_alpha, selection_probability)
 from .oracle import (VerifyReport, Witness, exact_gamma, exact_gamma_1j,
                      exact_gamma_M, verify_1j_set)
 from .recognize import ChordalityResult, chordality_check, find_chordless_cycle, split_recognition
@@ -40,14 +39,14 @@ __all__ = [
     "ResampleLimitError", "SizeGuardError", "SplitCaseResult", "SplitPartition",
     "VerifyReport", "Witness", "build_reduction", "complete_graph",
     "composite_gamma_n", "compute_alpha", "compute_alpha_bisect",
-    "connected_components", "regular_graph_bound", "chordality_check",
+    "regular_graph_bound", "chordality_check",
     "cycle_graph", "exact_gamma", "exact_gamma_1j", "exact_gamma_M",
     "extract_cover", "f_alpha", "feasibility_threshold", "find_chordless_cycle",
     "forward_witness", "g_delta", "gadget_lower_bounds", "gamma_1j_split",
     "gamma_1j_tree", "gamma_M", "gnp", "is_connected", "is_gamma_n_split",
     "is_tree", "lll_params", "lll_params_for_graph", "m_band_violations",
     "mt_construct", "mt_trials", "parse_edge_list", "parse_ex3c", "path_graph",
-    "predicted_bound", "random_regular", "random_split", "random_tree",
+    "random_regular", "random_split", "random_tree",
     "s_alpha", "selection_probability", "solve_ex3c_brute", "split_recognition",
     "star_graph", "uniform_labeled_tree", "validate_split_partition",
     "verify_1j_set", "write_edge_list", "write_ex3c",

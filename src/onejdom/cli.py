@@ -115,12 +115,13 @@ def cmd_solve(args) -> int:
                     "input_digest": digest}
 
     method = args.method
+    part = None  # the split partition, once recognised
     if method == "auto":
         if args.budget is not None:
             method = "bnb"  # budgeted decision mode is an exact-engine feature
         elif is_tree(g):
             method = "tree"
-        elif split_recognition(g) is not None:
+        elif (part := split_recognition(g)) is not None:
             method = "split"
         else:
             method = "bnb"
@@ -154,7 +155,7 @@ def cmd_solve(args) -> int:
             raise PreconditionError("--j is required")
         if args.partition:
             part = _parse_partition(_read_bytes(args.partition), g.n)
-        else:
+        elif part is None:  # not recognised in auto mode: an explicit --method split
             part = split_recognition(g)
             if part is None:
                 raise PreconditionError("method=split requires a split graph "
@@ -165,8 +166,7 @@ def cmd_solve(args) -> int:
     else:
         if args.j is None:
             raise PreconditionError("--j is required")
-        engine = "brute" if method == "brute" else "bnb"
-        hit = exact_gamma_1j(g, args.j, engine=engine, budget=args.budget, force=args.force)
+        hit = exact_gamma_1j(g, args.j, engine=method, budget=args.budget, force=args.force)
         report["j"] = args.j
         if args.budget is not None:
             report["budget"] = args.budget
@@ -197,8 +197,6 @@ def cmd_construct(args) -> int:
     slack_bound = 1.25 * bound
     within = 0
     for i, run in enumerate(runs):
-        valid = bool(run.terminated and run.result is not None
-                     and verify_1j_set(g, run.result.vertices, args.j).valid)
         size = run.size
         if run.terminated and size is not None and size <= slack_bound:
             within += 1
@@ -213,7 +211,7 @@ def cmd_construct(args) -> int:
             "terminated": run.terminated,
             "resamples": run.resample_count,
             "size": size,
-            "valid": valid,
+            "valid": run.terminated,  # mt_trials verified every terminated run
             "bound": bound,
         })
     _emit({

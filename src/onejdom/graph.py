@@ -7,7 +7,6 @@ and concurrent tasks.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
@@ -18,7 +17,12 @@ from .errors import ParseError, PreconditionError
 
 
 class Graph:
-    """Simple undirected graph with per-vertex sorted neighbor lists."""
+    """Simple undirected graph with per-vertex sorted neighbor lists.
+
+    The constructor is the package's only edge checker: it rejects an
+    out-of-range id, a self-loop or a duplicate edge with ValueError, one
+    edge at a time in the order given (parse_edge_list relies on this).
+    """
 
     __slots__ = ("n", "m", "_nbrs", "_nbr_sets", "_masks", "_csr")
 
@@ -157,7 +161,11 @@ def numbered_lines(data: str | bytes) -> list[tuple[int, str]]:
 def parse_edge_list(text: str | bytes) -> Graph:
     """Parse the edge-list format: a header line "n m" followed by m lines "u v".
 
-    Each malformed input raises ParseError naming the offending line.
+    The parser itself checks the header, the line count and that each edge
+    line holds two integers. Each edge goes to Graph as soon as its line is
+    split, so Graph's range, self-loop and duplicate checks run in file
+    order and the first fault wins; their messages come back as ParseError
+    with the edge's line attached.
     """
     numbered = numbered_lines(text)
     if not numbered:
@@ -178,26 +186,26 @@ def parse_edge_list(text: str | bytes) -> Graph:
     if len(body) > m:
         raise ParseError("unexpected extra line", body[m][0])
 
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
-    for lineno, ln in body:
-        toks = ln.split()
-        if len(toks) != 2:
-            raise ParseError(f"malformed edge line {ln!r}", lineno)
-        try:
-            u, v = int(toks[0]), int(toks[1])
-        except ValueError:
-            raise ParseError(f"malformed edge line {ln!r}", lineno) from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"vertex id out of range in edge ({u}, {v})", lineno)
-        if u == v:
-            raise ParseError(f"self-loop at vertex {u}", lineno)
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ParseError(f"duplicate edge ({u}, {v})", lineno)
-        seen.add(key)
-        edges.append((u, v))
-    return Graph(n, edges)
+    line = None  # the line whose edge Graph is checking
+
+    def pairs() -> Iterator[tuple[int, int]]:
+        nonlocal line
+        for line, ln in body:
+            toks = ln.split()
+            if len(toks) != 2:
+                raise ParseError(f"malformed edge line {ln!r}", line)
+            try:
+                u, v = int(toks[0]), int(toks[1])
+            except ValueError:
+                raise ParseError(f"malformed edge line {ln!r}", line) from None
+            yield u, v
+
+    try:
+        return Graph(n, pairs())
+    except ParseError:  # a line-reading fault, already located
+        raise
+    except ValueError as exc:
+        raise ParseError(str(exc), line) from None
 
 
 def write_edge_list(g: Graph) -> str:
@@ -205,26 +213,6 @@ def write_edge_list(g: Graph) -> str:
     lines = [f"{g.n} {g.m}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
-
-
-def connected_components(g: Graph) -> list[list[int]]:
-    seen = [False] * g.n
-    comps: list[list[int]] = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for u in g.neighbors(v):
-                if not seen[u]:
-                    seen[u] = True
-                    comp.append(u)
-                    queue.append(u)
-        comps.append(sorted(comp))
-    return comps
 
 
 def is_connected(g: Graph) -> bool:

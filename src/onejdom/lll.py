@@ -126,10 +126,6 @@ def selection_probability(delta_max: int, delta_min: int, alpha: float) -> float
     return p
 
 
-def predicted_bound(n: int, delta_max: int, delta_min: int, alpha: float) -> float:
-    return n * selection_probability(delta_max, delta_min, alpha)
-
-
 def regular_graph_bound(n: int, d: int) -> tuple[float, float]:
     """For d-regular graphs: (threshold on j, leading-order size yardstick).
 
@@ -153,10 +149,9 @@ class LLLParams:
     p: float
     size_bound: float
     epsilon: float
-    c: float
 
 
-def lll_params(j: int, n: int, delta_max: int, delta_min: int, c: float = 1.0) -> LLLParams:
+def lll_params(j: int, n: int, delta_max: int, delta_min: int) -> LLLParams:
     """Validate the premise and bundle every derived quantity."""
     alpha = compute_alpha(j, delta_max, delta_min)
     if alpha is None:
@@ -169,8 +164,6 @@ def lll_params(j: int, n: int, delta_max: int, delta_min: int, c: float = 1.0) -
         raise InternalContradictionError(
             f"maximized alpha violates the premise: {j + 1} < {rhs}")
     p = selection_probability(delta_max, delta_min, alpha)
-    if c <= 0:
-        raise PreconditionError("c must be positive")
     return LLLParams(
         j=j,
         delta_max=delta_max,
@@ -179,19 +172,18 @@ def lll_params(j: int, n: int, delta_max: int, delta_min: int, c: float = 1.0) -
         alpha=alpha,
         p=p,
         size_bound=n * p,
-        epsilon=math.sqrt(c * delta_min) / delta_max,
-        c=c,
+        epsilon=math.sqrt(delta_min) / delta_max,
     )
 
 
-def lll_params_for_graph(g: Graph, j: int, c: float = 1.0) -> LLLParams:
+def lll_params_for_graph(g: Graph, j: int) -> LLLParams:
     if g.n == 0:
         raise PreconditionError("empty graph")
     degrees = np.diff(g.csr()[0])
     delta_min, delta_max = int(degrees.min()), int(degrees.max())
     if delta_min < 1:
         raise PreconditionError("graph has an isolated vertex (min degree 0)")
-    return lll_params(j, g.n, delta_max, delta_min, c=c)
+    return lll_params(j, g.n, delta_max, delta_min)
 
 
 @dataclass(frozen=True)

@@ -29,14 +29,6 @@ from .graph import Graph, _selected_counts
 ENUM_GUARD = 20
 BNB_GUARD = 36
 
-_ENGINE_ALIASES = {
-    "enumeration": "enumeration",
-    "brute": "enumeration",
-    "branch_and_bound": "branch_and_bound",
-    "bnb": "branch_and_bound",
-}
-
-
 @dataclass(frozen=True)
 class Witness:
     """An explicit vertex set certifying a reported domination value."""
@@ -240,11 +232,12 @@ def _bnb_min_1j(g: Graph, j: int, budget: int | None) -> tuple[int, frozenset[in
 def exact_gamma_1j(
     g: Graph,
     j: int,
-    engine: str = "enumeration",
+    engine: str = "brute",
     budget: int | None = None,
     force: bool = False,
 ) -> tuple[int, Witness] | None:
-    """Minimum (1,j)-set by exhaustive search.
+    """Minimum (1,j)-set by exhaustive search; engine is "brute" (enumeration)
+    or "bnb" (branch and bound), the CLI's --method names.
 
     Returns (value, witness), or None when a budget is given and no
     (1,j)-set of size <= budget exists.  Without a budget an answer always
@@ -254,16 +247,14 @@ def exact_gamma_1j(
         raise PreconditionError("j must be a positive integer")
     if budget is not None and budget < 0:
         raise PreconditionError("budget must be nonnegative")
-    try:
-        engine = _ENGINE_ALIASES[engine]
-    except KeyError:
-        raise PreconditionError(f"unknown engine {engine!r}") from None
-    if engine == "enumeration":
+    if engine == "brute":
         _check_guard(g.n, ENUM_GUARD, force, "enumeration")
         hit = _enum_min_1j(g, j, budget)
-    else:
+    elif engine == "bnb":
         _check_guard(g.n, BNB_GUARD, force, "branch_and_bound")
         hit = _bnb_min_1j(g, j, budget)
+    else:
+        raise PreconditionError(f"unknown engine {engine!r}")
     if hit is None:
         return None
     value, vertices = hit

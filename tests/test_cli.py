@@ -302,6 +302,38 @@ def test_tree_solve_checks_tree_at_most_twice(tmp_path, capsys, monkeypatch):
         assert 1 <= len(calls) <= 2, (argv, calls)
 
 
+def test_split_solve_recognises_split_once(tmp_path, capsys, monkeypatch):
+    import onejdom.cli
+    from onejdom.recognize import split_recognition
+
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return split_recognition(g)
+
+    monkeypatch.setattr(onejdom.cli, "split_recognition", counting)
+    path = write_graph(tmp_path, parse_edge_list("4 4\n0 1\n0 2\n1 2\n2 3\n"))
+    for argv in (["--j", "2"], ["--j", "2", "--method", "split"]):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "solve", path, *argv)
+        assert code == 0 and json.loads(out)["method"] == "split"
+        assert len(calls) == 1, (argv, calls)
+
+
+def test_construct_invalid_witness_is_internal_contradiction(tmp_path, capsys, monkeypatch):
+    import onejdom.lll
+    from onejdom import VerifyReport
+
+    monkeypatch.setattr(onejdom.lll, "verify_1j_set",
+                        lambda g, vertices, j: VerifyReport(False, (0,), ()))
+    path = write_graph(tmp_path, random_regular(40, 12, 9))
+    code, out, err = run_cli(capsys, "construct", path, "--j", "18", "--seed", "1")
+    assert code == 5 and out == ""
+    lines = [ln for ln in err.splitlines() if not ln.startswith("elapsed_seconds=")]
+    assert len(lines) == 1 and lines[0].startswith("internal contradiction:"), lines
+
+
 def test_tree_method_on_non_tree_with_labels_exit_3(tmp_path, capsys):
     path = write_graph(tmp_path, cycle_graph(3))
     labels = tmp_path / "labels.txt"

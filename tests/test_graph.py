@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onejdom import (Graph, ParseError, connected_components, cycle_graph, gnp,
-                     is_connected, is_tree, parse_edge_list, path_graph,
-                     write_edge_list)
+from onejdom import (Graph, ParseError, cycle_graph, gnp, is_connected, is_tree,
+                     parse_edge_list, path_graph, write_edge_list)
 
 
 def test_parse_single_edge():
@@ -29,6 +28,11 @@ def test_parse_accepts_bytes():
     ("2 1\nzero one", "malformed", 2),
     ("2 1\n0 1\n0 1", "extra line", 3),
     ("nope", "header", 1),
+    # two faults: the first in file order wins
+    ("3 3\n0 1\n1 0\nx y", "duplicate edge (1, 0)", 3),
+    ("3 3\n0 1\nx y\n1 0", "malformed edge line 'x y'", 3),
+    ("3 3\n0 1\n1 0\n0 9", "duplicate edge (1, 0)", 3),
+    ("3 2\n1 1\n0 1 2", "self-loop at vertex 1", 2),
 ])
 def test_parse_errors_name_their_line(text, fragment, line):
     with pytest.raises(ParseError) as exc:
@@ -70,8 +74,6 @@ def test_connectivity():
     assert is_connected(Graph(0))
     assert is_connected(Graph(1))
     assert not is_connected(Graph(2))
-    comps = connected_components(Graph(5, [(0, 1), (3, 4)]))
-    assert comps == [[0, 1], [2], [3, 4]]
 
 
 def test_round_trip_small():

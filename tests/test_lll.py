@@ -9,7 +9,7 @@ from onejdom import (Graph, InfeasibleProbabilityError, MTConfig,
                      complete_graph, compute_alpha, compute_alpha_bisect,
                      regular_graph_bound, f_alpha, feasibility_threshold,
                      g_delta, lll_params, lll_params_for_graph, mt_construct,
-                     mt_trials, predicted_bound, random_regular, s_alpha,
+                     mt_trials, random_regular, s_alpha,
                      selection_probability, verify_1j_set)
 from onejdom.errors import ResampleLimitError
 
@@ -75,7 +75,6 @@ def test_selection_probability_and_bound():
     p = selection_probability(12, 12, E)
     assert p == pytest.approx(g_delta(12) / 12, abs=1e-12)
     assert p == pytest.approx(0.5558, abs=1e-4)
-    assert predicted_bound(500, 12, 12, E) == pytest.approx(500 * p)
     with pytest.raises(InfeasibleProbabilityError):
         selection_probability(3, 3, E)
 

@@ -52,8 +52,8 @@ def test_engines_agree_with_witness_verification():
         n = 4 + seed % 15  # n up to 18
         g = gnp(n, 0.12 + (seed % 6) * 0.09, seed)
         j = 1 + seed % 3
-        a = exact_gamma_1j(g, j, engine="enumeration")
-        b = exact_gamma_1j(g, j, engine="branch_and_bound")
+        a = exact_gamma_1j(g, j, engine="brute")
+        b = exact_gamma_1j(g, j, engine="bnb")
         assert a[0] == b[0], (seed, n, j)
         assert verify_1j_set(g, a[1].vertices, j).valid
         assert verify_1j_set(g, b[1].vertices, j).valid
@@ -84,6 +84,12 @@ def test_guards():
     assert exact_gamma_1j(big, 1, force=True)[0] == 21
     with pytest.raises(SizeGuardError):
         exact_gamma_1j(Graph(37), 1, engine="bnb")
+
+
+@pytest.mark.parametrize("engine", ["enumeration", "branch_and_bound", "BNB"])
+def test_unknown_engine_is_precondition_error(engine):
+    with pytest.raises(PreconditionError, match="unknown engine"):
+        exact_gamma_1j(path_graph(3), 1, engine=engine)
 
 
 def test_exact_gamma_values():
