@@ -2,107 +2,184 @@
 
 Vertices are the dense ids 0..n-1. Graphs are simple and undirected, and
 immutable once constructed, so they can be shared freely between solvers
-and concurrent tasks.
+and concurrent tasks. A graph is stored as one read-only int32 CSR pair;
+the Python views the exact engines walk (neighbor tuples, frozensets, bit
+masks) are derived from it on first use, so array-only callers such as the
+resampler and the set verifier never build them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ParseError, PreconditionError
 
+_MAX_VERTICES = 2**31  # ids must fit the int32 CSR arrays
+
+
+def _check_vertex_count(n: int) -> None:
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if n >= _MAX_VERTICES:
+        raise ValueError(f"vertex count {n} does not fit int32 ids (at most 2**31 - 1)")
+
+
+def _edge_arrays(pairs: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """int64 (u, v) columns of the longest prefix of pairs whose ids fit
+    int64; an id past it is out of range for any vertex count."""
+    try:
+        flat = np.fromiter(chain.from_iterable(pairs), np.int64)
+    except OverflowError:
+        k = next(i for i, e in enumerate(pairs) if not all(-2**63 <= x < 2**63 for x in e))
+        return _edge_arrays(pairs[:k])
+    if flat.size != 2 * len(pairs):
+        raise ValueError("every edge must be a pair of vertex ids")
+    return flat[0::2], flat[1::2]
+
+
+def _first_fault(n: int, u: np.ndarray, v: np.ndarray) -> int:
+    """Index of the first edge that is out of range, a self-loop, or the same
+    unordered pair as an earlier edge; len(u) when every edge is sound.
+
+    Only edges before the first range or self-loop fault matter for
+    duplicates. Their keys min * n + max are sorted once; only when two are
+    equal does a stable argsort name the earliest second copy.
+    """
+    bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
+    first = int(bad.argmax()) if bad.any() else len(u)
+    key = np.minimum(u[:first], v[:first]) * n + np.maximum(u[:first], v[:first])
+    ordered = np.sort(key)
+    if (ordered[1:] == ordered[:-1]).any():
+        order = np.argsort(key, kind="stable")
+        ordered = key[order]
+        first = int(order[1:][ordered[1:] == ordered[:-1]].min())
+    return first
+
+
+def _fault_message(n: int, u: int, v: int) -> str:
+    """The message for an edge _first_fault named, checked in its order."""
+    if not (0 <= u < n and 0 <= v < n):
+        return f"vertex id out of range in edge ({u}, {v})"
+    if u == v:
+        return f"self-loop at vertex {u}"
+    return f"duplicate edge ({u}, {v})"
+
 
 class Graph:
-    """Simple undirected graph with per-vertex sorted neighbor lists.
+    """Simple undirected graph stored as read-only int32 CSR arrays.
 
-    The constructor is the package's only edge checker: it rejects an
-    out-of-range id, a self-loop or a duplicate edge with ValueError, one
-    edge at a time in the order given (parse_edge_list relies on this).
+    csr() returns the storage itself: v's sorted neighbors are
+    indices[indptr[v]:indptr[v + 1]]. Degrees, edges() and == read the
+    arrays; neighbors() tuples, neighbor_set() frozensets and
+    neighbor_masks() are built from them on first use and cached.
+
+    The constructor rejects an out-of-range id, a self-loop or a duplicate
+    edge with ValueError, naming the first faulty edge in the order given.
+    _first_fault is the package's only edge checker; parse_edge_list runs
+    it too, then builds through the same CSR constructor.
     """
 
-    __slots__ = ("n", "m", "_nbrs", "_nbr_sets", "_masks", "_csr")
+    __slots__ = ("n", "m", "_indptr", "_indices", "_nbrs", "_nbr_sets", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        nbr_sets: list[set[int]] = [set() for _ in range(n)]
-        m = 0
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"vertex id out of range in edge ({u}, {v})")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if v in nbr_sets[u]:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            nbr_sets[u].add(v)
-            nbr_sets[v].add(u)
-            m += 1
+        _check_vertex_count(n)
+        pairs = list(edges)
+        u, v = _edge_arrays(pairs)
+        k = _first_fault(n, u, v)
+        if k < len(pairs):
+            raise ValueError(_fault_message(n, *pairs[k]))
+        self._set_csr(n, u, v)
+
+    @classmethod
+    def _from_checked(cls, n: int, u: np.ndarray, v: np.ndarray) -> Graph:
+        """Build from edge columns that have already passed _first_fault."""
+        g = cls.__new__(cls)
+        g._set_csr(n, u, v)
+        return g
+
+    def _set_csr(self, n: int, u: np.ndarray, v: np.ndarray) -> None:
+        src = np.concatenate((u, v))
+        key = src * n
+        key += np.concatenate((v, u))
+        key.sort()  # by row, then by neighbor
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        indptr[1:] = np.bincount(src, minlength=n)
+        np.cumsum(indptr, out=indptr)
+        indices = (key % n).astype(np.int32)  # n = 0 leaves key empty
+        indptr.flags.writeable = indices.flags.writeable = False
         self.n = n
-        self.m = m
-        self._nbr_sets = tuple(frozenset(s) for s in nbr_sets)
-        self._nbrs = tuple(tuple(sorted(s)) for s in nbr_sets)
+        self.m = len(u)
+        self._indptr, self._indices = indptr, indices
+        self._nbrs: tuple[tuple[int, ...], ...] | None = None
+        self._nbr_sets: tuple[frozenset[int], ...] | None = None
         self._masks: tuple[int, ...] | None = None
-        self._csr: tuple[np.ndarray, np.ndarray] | None = None
+
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        if self._nbrs is None:
+            flat, ptr = self._indices.tolist(), self._indptr.tolist()
+            self._nbrs = tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
+        return self._nbrs
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._nbrs[v]
+        nbrs = self._nbrs
+        if nbrs is None:
+            nbrs = self._rows()
+        return nbrs[v]
 
     def neighbor_set(self, v: int) -> frozenset[int]:
+        if self._nbr_sets is None:
+            # copied from a set, a frozenset gets a table sized once, up to 2x
+            # smaller than one grown from a tuple; the split solver's unions
+            # iterate whole tables
+            self._nbr_sets = tuple(frozenset(set(t)) for t in self._rows())
         return self._nbr_sets[v]
 
     def degree(self, v: int) -> int:
-        return len(self._nbrs[v])
+        return int(self._indptr[v + 1] - self._indptr[v])
 
     def degrees(self) -> list[int]:
-        return [len(t) for t in self._nbrs]
+        return np.diff(self._indptr).tolist()
 
     def max_degree(self) -> int:
-        return max(self.degrees(), default=0)
+        return int(np.diff(self._indptr).max(initial=0))
 
     def min_degree(self) -> int:
-        return min(self.degrees(), default=0)
+        return int(np.diff(self._indptr).min()) if self.n else 0
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._nbr_sets[u]
+        return v in self.neighbor_set(u)
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield each edge once, as (u, v) with u < v, in sorted order."""
-        for u in range(self.n):
-            for v in self._nbrs[u]:
-                if u < v:
-                    yield (u, v)
+        """Each edge once, as (u, v) with u < v, in sorted order."""
+        src = np.repeat(np.arange(self.n), np.diff(self._indptr))
+        up = src < self._indices
+        return zip(src[up].tolist(), self._indices[up].tolist())
 
     def neighbor_masks(self) -> tuple[int, ...]:
         """Open neighborhoods as bitmasks; computed once and cached."""
         if self._masks is None:
             masks = []
-            for v in range(self.n):
+            for nbrs in self._rows():
                 mask = 0
-                for u in self._nbrs[v]:
+                for u in nbrs:
                     mask |= 1 << u
                 masks.append(mask)
             self._masks = tuple(masks)
         return self._masks
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only int32 (indptr, indices), v's sorted neighbors being
-        indices[indptr[v]:indptr[v + 1]]; computed once and cached."""
-        if self._csr is None:
-            indptr = np.zeros(self.n + 1, dtype=np.int32)
-            np.cumsum([len(t) for t in self._nbrs], out=indptr[1:])
-            indices = np.fromiter(chain.from_iterable(self._nbrs), np.int32, 2 * self.m)
-            indptr.flags.writeable = indices.flags.writeable = False
-            self._csr = (indptr, indices)
-        return self._csr
+        """The read-only int32 storage (indptr, indices)."""
+        return self._indptr, self._indices
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._nbrs == other._nbrs
+        return (self.n == other.n and np.array_equal(self._indptr, other._indptr)
+                and np.array_equal(self._indices, other._indices))
 
     __hash__ = None  # mutable-free but identity semantics are not wanted
 
@@ -147,8 +224,9 @@ def validate_split_partition(g: Graph, part: SplitPartition) -> None:
 def numbered_lines(data: str | bytes) -> list[tuple[int, str]]:
     """(1-based line number, stripped text) for every non-blank line.
 
-    Every input file is read through here; bytes that are not UTF-8 raise
-    ParseError.
+    Every input file is read through here, except edge lists of digits and
+    blanks only, which parse_edge_list tokenizes in bulk; bytes that are not
+    UTF-8 raise ParseError.
     """
     if isinstance(data, (bytes, bytearray)):
         try:
@@ -158,19 +236,47 @@ def numbered_lines(data: str | bytes) -> list[tuple[int, str]]:
     return [(i, s) for i, ln in enumerate(data.splitlines(), 1) if (s := ln.strip())]
 
 
+_MAX_DIGITS = 18  # the longest token that always fits int64
+
+
 def parse_edge_list(text: str | bytes) -> Graph:
     """Parse the edge-list format: a header line "n m" followed by m lines "u v".
 
-    The parser itself checks the header, the line count and that each edge
-    line holds two integers. Each edge goes to Graph as soon as its line is
-    split, so Graph's range, self-loop and duplicate checks run in file
-    order and the first fault wins; their messages come back as ParseError
-    with the edge's line attached.
+    Input whose bytes are only ASCII digits, space, tab, "\\n" and "\\r\\n",
+    with tokens of at most 18 digits, is tokenized in bulk: array passes
+    over its bytes find the tokens and the lines, and np.fromstring reads
+    the values. Any other input (a sign, "_", a non-ASCII digit, a lone
+    "\\r", other whitespace, a longer token) is read line by line through
+    numbered_lines, split and int. Both paths accept the same inputs and
+    raise the same errors.
+
+    The header comes first: two integers, nonnegative, n below 2**31. Then
+    the count of non-blank lines must equal m. Each tokenizer stops at the
+    first edge line that is not two integers and runs the edge checker
+    (_first_fault) on the lines before it, so the first fault in file order
+    is reported, as ParseError with its line. Nothing of size n is
+    allocated before the input has passed every check.
     """
-    numbered = numbered_lines(text)
-    if not numbered:
+    if isinstance(text, str):
+        data = text.encode("ascii") if text.isascii() else None
+    else:
+        data = bytes(text)  # np.fromstring needs read-only bytes
+    scan = _scan_bytes(data) if data is not None else None
+    n, lines, u, v, stop = scan or _scan_lines(text)
+    k = _first_fault(n, u, v)
+    if k < len(u):
+        raise ParseError(_fault_message(n, int(u[k]), int(v[k])), int(lines[k]))
+    if stop is not None:
+        raise stop
+    return Graph._from_checked(n, u, v)
+
+
+def _read_header(line_nos: Sequence[int], header: str | None) -> int:
+    """n, after the header and line-count checks; line_nos are the numbers
+    of the non-blank lines and header is the first one's text."""
+    if header is None:
         raise ParseError("empty input, expected header 'n m'")
-    hline, header = numbered[0]
+    hline = int(line_nos[0])
     parts = header.split()
     if len(parts) != 2:
         raise ParseError("header must be two integers 'n m'", hline)
@@ -180,32 +286,70 @@ def parse_edge_list(text: str | bytes) -> Graph:
         raise ParseError("header must be two integers 'n m'", hline) from None
     if n < 0 or m < 0:
         raise ParseError("header counts must be nonnegative", hline)
-    body = numbered[1:]
-    if len(body) < m:
-        raise ParseError(f"expected {m} edge lines, found {len(body)}")
-    if len(body) > m:
-        raise ParseError("unexpected extra line", body[m][0])
-
-    line = None  # the line whose edge Graph is checking
-
-    def pairs() -> Iterator[tuple[int, int]]:
-        nonlocal line
-        for line, ln in body:
-            toks = ln.split()
-            if len(toks) != 2:
-                raise ParseError(f"malformed edge line {ln!r}", line)
-            try:
-                u, v = int(toks[0]), int(toks[1])
-            except ValueError:
-                raise ParseError(f"malformed edge line {ln!r}", line) from None
-            yield u, v
-
     try:
-        return Graph(n, pairs())
-    except ParseError:  # a line-reading fault, already located
-        raise
+        _check_vertex_count(n)
     except ValueError as exc:
-        raise ParseError(str(exc), line) from None
+        raise ParseError(str(exc), hline) from None
+    body = len(line_nos) - 1
+    if body < m:
+        raise ParseError(f"expected {m} edge lines, found {body}")
+    if body > m:
+        raise ParseError("unexpected extra line", int(line_nos[1 + m]))
+    return n
+
+
+def _malformed(ln: str, line: int) -> ParseError:
+    return ParseError(f"malformed edge line {ln!r}", line)
+
+
+def _scan_lines(text: str | bytes):
+    """Line reader: (n, edge line numbers, u, v, pending ParseError or None)."""
+    numbered = numbered_lines(text)
+    n = _read_header([i for i, _ in numbered], numbered[0][1] if numbered else None)
+    pairs, lines, stop = [], [], None
+    for line, ln in numbered[1:]:
+        try:
+            a, b = map(int, ln.split())
+        except ValueError:
+            stop = _malformed(ln, line)
+            break
+        pairs.append((a, b))
+        lines.append(line)
+    u, v = _edge_arrays(pairs)
+    if len(u) < len(pairs):  # an id beyond int64 is out of range
+        stop = ParseError(_fault_message(n, *pairs[len(u)]), lines[len(u)])
+    return n, lines, u, v, stop
+
+
+def _scan_bytes(data: bytes):
+    """Array tokenizer, giving what _scan_lines gives, or None for input it
+    leaves to _scan_lines. Its arrays hold one byte per input byte, or an
+    int per token or per line."""
+    if data.translate(None, b"0123456789 \t\r\n") or data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    b = np.frombuffer(data, dtype=np.uint8)
+    digit = np.zeros(len(b) + 2, dtype=bool)  # padded by a non-digit at each end
+    digit[1:-1] = (b - 48) < 10  # bytes below "0" wrap around
+    bounds = np.flatnonzero(digit[1:] != digit[:-1])
+    starts, ends = bounds[0::2], bounds[1::2]  # of each token
+    if len(starts) and (ends - starts).max() > _MAX_DIGITS:
+        return None
+    line_end = np.append(np.flatnonzero(b == 10), len(b))
+    ntok = np.diff(np.searchsorted(starts, line_end), prepend=0)  # tokens on each line
+    line_nos = np.flatnonzero(ntok) + 1  # the non-blank lines
+    ntok = ntok[line_nos - 1]
+
+    def line_text(i: int) -> str:  # the stripped text of non-blank line i
+        ln = line_nos[i] - 1
+        lo = line_end[ln - 1] + 1 if ln else 0
+        return data[lo:line_end[ln]].decode("ascii").strip()
+
+    n = _read_header(line_nos, line_text(0) if len(line_nos) else None)
+    bad = np.flatnonzero(ntok[1:] != 2)
+    s = int(bad[0]) if len(bad) else len(ntok) - 1  # edge lines before a malformed one
+    stop = _malformed(line_text(1 + s), int(line_nos[1 + s])) if len(bad) else None
+    vals = np.fromstring(data, dtype=np.int64, sep=" ")[2:2 + 2 * s]
+    return n, line_nos[1:1 + s], vals[0::2], vals[1::2], stop
 
 
 def write_edge_list(g: Graph) -> str:

@@ -64,6 +64,14 @@ def test_solve_parse_error_exit_2(tmp_path, capsys):
     assert "self-loop" in err
 
 
+def test_header_beyond_int32_ids_exit_2(tmp_path, capsys):
+    bad = tmp_path / "huge.edges"
+    bad.write_text("3000000000 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "construct", str(bad), "--j", "1", "--seed", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: line 1: vertex count 3000000000 does not fit int32")
+
+
 def test_solve_missing_file_exit_2(capsys):
     code, _, _ = run_cli(capsys, "solve", "/nonexistent/g.edges", "--j", "1")
     assert code == 2

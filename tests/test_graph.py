@@ -1,9 +1,12 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onejdom import (Graph, ParseError, cycle_graph, gnp, is_connected, is_tree,
-                     parse_edge_list, path_graph, write_edge_list)
+                     lll_params_for_graph, mt_trials, parse_edge_list, path_graph,
+                     random_regular, verify_1j_set, write_edge_list)
 
 
 def test_parse_single_edge():
@@ -19,6 +22,7 @@ def test_parse_edgeless():
 def test_parse_accepts_bytes():
     g = parse_edge_list(b"2 1\n0 1\n")
     assert g.m == 1
+    assert parse_edge_list(bytearray(b"2 1\n0 1\n")) == g
 
 
 @pytest.mark.parametrize("text,fragment,line", [
@@ -91,3 +95,29 @@ def test_round_trip_random(n, p, seed):
 def test_edge_list_format_is_lf_terminated():
     text = write_edge_list(Graph(2, [(0, 1)]))
     assert text == "2 1\n0 1\n"
+
+
+@pytest.mark.parametrize("text,fragment,line", [
+    ("1000000 1\nx y\n", "malformed edge line 'x y'", 2),
+    ("100000000 1\n0 0\n", "self-loop at vertex 0", 2),
+    ("3000000000 0\n", "does not fit int32 ids", 1),
+])
+def test_huge_header_faults_allocate_nothing_of_size_n(text, fragment, line):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as exc:
+            parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fragment in str(exc.value) and exc.value.line == line
+    assert peak < 2 * 2**20, peak
+
+
+def test_construct_path_builds_no_python_views():
+    g = parse_edge_list(write_edge_list(random_regular(200, 12, 5)).encode())
+    j = 18
+    lll_params_for_graph(g, j)
+    runs = mt_trials(g, j, 3, 4)
+    verify_1j_set(g, runs[0].result.vertices, j)
+    assert g._nbrs is None and g._nbr_sets is None and g._masks is None

@@ -8,8 +8,10 @@ or a ParseError with the same message and line, on any edge list.
 
 import random
 
-from onejdom import Graph, ParseError, gnp, parse_edge_list, write_edge_list
-from onejdom.graph import numbered_lines
+import pytest
+
+from onejdom import Graph, ParseError, gnp, parse_edge_list, random_tree, write_edge_list
+from onejdom.graph import _scan_bytes, numbered_lines
 
 
 def reference_parse(text):
@@ -125,3 +127,92 @@ def test_parser_matches_reference_on_mutated_edge_lists():
     for fault in ("duplicate edge", "self-loop", "out of range", "malformed edge line",
                   "extra line", "expected"):
         assert any(fault in msg for msg in messages), fault
+
+
+# Layout and token edits that send input down one tokenizer or the other:
+# the array tokenizer takes ASCII digits, space, tab, "\n" and "\r\n" with
+# tokens of at most 18 digits; anything else goes to the line reader.
+LAYOUT = {
+    "tabs": lambda rng, ln: ln.replace(" ", rng.choice(["\t", " \t ", "\t\t"])),
+    "trailing_spaces": lambda rng, ln: ln + rng.choice([" ", "   ", "\t "]),
+    "leading_spaces": lambda rng, ln: rng.choice([" ", "\t"]) + ln,
+    "leading_zeros": lambda rng, ln: " ".join("0" * rng.randrange(1, 4) + t for t in ln.split()),
+    "long_token": lambda rng, ln: " ".join(("0" * 18 + t) if rng.random() < 0.5 else t
+                                           for t in ln.split()),
+    "huge_token": lambda rng, ln: f"{ln.split()[0] if ln.split() else 0} {10**19 + 7}",
+    "plus": lambda rng, ln: " ".join("+" + t for t in ln.split()),
+    "underscore": lambda rng, ln: " ".join(t[0] + "_" + t[1:] if len(t) > 1 else "1_0"
+                                           for t in ln.split()),
+    "arabic_digit": lambda rng, ln: ln.replace("1", "١"),
+    "lone_cr": lambda rng, ln: ln.replace(" ", "\r", 1),
+    "vt_ff": lambda rng, ln: ln.replace(" ", rng.choice(["\x0b", "\x0c", " \x0c"]), 1),
+    "reversed": lambda rng, ln: " ".join(reversed(ln.split())),
+}
+
+
+def takes_array_path(data):
+    try:
+        return _scan_bytes(data) is not None
+    except ParseError:  # found a fault: the array tokenizer took the input
+        return True
+
+
+def layout_inputs(seed, count):
+    """Seeded edge lists with layout edits, some faults and a chosen line end."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(0, 30)
+        header, *lines = write_edge_list(gnp(n, rng.random(), rng.randrange(10**6))).splitlines()
+        rng.shuffle(lines)
+        if lines and rng.random() < 0.3:  # a duplicate given reversed
+            u, v = rng.choice(lines).split()
+            lines.insert(rng.randrange(len(lines) + 1), f"{v} {u}")
+        if rng.random() < 0.3:
+            mutate(rng, n, lines)
+        for kind in rng.sample(sorted(LAYOUT), rng.randrange(0, 3)):
+            for i in rng.sample(range(len(lines)), min(len(lines), rng.randrange(1, 3))):
+                lines[i] = LAYOUT[kind](rng, lines[i])
+        for _ in range(rng.randrange(0, 3)):  # blank lines between edges
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", " ", "\t \t"]))
+        m = len(numbered_lines("\n".join(lines)))
+        if rng.random() < 0.1:
+            m += rng.choice([-1, 1])
+        end = rng.choice(["\n", "\r\n"])
+        yield end.join([f"{n} {max(m, 0)}", *lines]) + rng.choice(["", end])
+
+
+def test_parser_matches_reference_on_layouts_and_tokens():
+    graphs, messages, routes = 0, [], set()
+    big = write_edge_list(random_tree(10**4, 41))  # one fault-free 1e4-vertex graph
+    for text in [*layout_inputs(seed=31, count=500), big, big.replace("\n", "\r\n")]:
+        routes.add(takes_array_path(text.encode("utf-8")))
+        for given in (text, text.encode("utf-8")):
+            expected = outcome(reference_parse, given)
+            assert outcome(parse_edge_list, given) == expected, given
+        if expected[0] == "graph":
+            graphs += 1
+        else:
+            messages.append(expected[1])
+    assert routes == {True, False}
+    assert graphs >= 100 and len(messages) >= 150, (graphs, len(messages))
+    for fault in ("duplicate edge", "self-loop", "out of range", "malformed edge line",
+                  "extra line", "expected"):
+        assert any(fault in msg for msg in messages), fault
+
+
+@pytest.mark.parametrize("text,array_path", [
+    ("2 1\n0\t1 \n", True),
+    ("2 1\r\n\r\n  00 0001\r\n", True),
+    ("2 1\n" + "0" * 17 + "1 0\n", True),
+    ("2 1\n" + "0" * 18 + "1 0\n", False),
+    ("2 1\n+1 0\n", False),
+    ("2 1\n1_0 0\n", False),
+    ("2 1\n١ 0\n", False),
+    ("2 1\n0\r1\n", False),
+    ("2 1\n0 1\r", False),
+    ("2 1\n0\x0b1\n", False),
+    ("2 1\n0\x0c1\n", False),
+])
+def test_byte_alphabet_routes_input(text, array_path):
+    assert takes_array_path(text.encode("utf-8")) == array_path
+    assert outcome(parse_edge_list, text) == outcome(reference_parse, text)
