@@ -15,7 +15,7 @@ from .generators import (complete_graph, composite_gamma_n, cycle_graph, gnp,
                          star_graph)
 from .graph import (Graph, SplitPartition, is_connected, is_tree, parse_edge_list,
                     validate_split_partition, write_edge_list)
-from .lll import (LLLParams, MTConfig, MTRun, compute_alpha, compute_alpha_bisect,
+from .lll import (LLLParams, MTConfig, MTRun, compute_alpha,
                   regular_graph_bound, f_alpha, feasibility_threshold, g_delta,
                   lll_params, lll_params_for_graph, mt_construct, mt_trials,
                   s_alpha, selection_probability)
@@ -38,7 +38,7 @@ __all__ = [
     "PreconditionError", "PremiseInfeasibleError", "ReductionArtifact",
     "ResampleLimitError", "SizeGuardError", "SplitCaseResult", "SplitPartition",
     "VerifyReport", "Witness", "build_reduction", "complete_graph",
-    "composite_gamma_n", "compute_alpha", "compute_alpha_bisect",
+    "composite_gamma_n", "compute_alpha",
     "regular_graph_bound", "chordality_check",
     "cycle_graph", "exact_gamma", "exact_gamma_1j", "exact_gamma_M",
     "extract_cover", "f_alpha", "feasibility_threshold", "find_chordless_cycle",

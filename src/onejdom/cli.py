@@ -24,11 +24,11 @@ from .generators import gnp, random_regular, random_split, random_tree
 from .graph import (Graph, SplitPartition, is_tree, numbered_lines, parse_edge_list,
                     write_edge_list)
 from .lll import lll_params_for_graph, mt_trials
-from .oracle import exact_gamma_1j, verify_1j_set
+from .oracle import checked_witness, exact_gamma_1j, verify_1j_set
 from .recognize import split_recognition
 from .reduction import build_reduction, forward_witness, parse_ex3c
 from .splitsolve import gamma_1j_split
-from .treesolve import MLabeledTree, gamma_1j_tree, gamma_M, m_band_violations
+from .treesolve import MLabeledTree, gamma_1j_tree, gamma_M
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -54,27 +54,22 @@ def _load_graph(path: str) -> tuple[Graph, str]:
     return parse_edge_list(raw), hashlib.sha256(raw).hexdigest()
 
 
-def _read_tokens(path: str) -> list[str]:
-    """Whitespace-separated tokens of a text file."""
-    return [tok for _, ln in numbered_lines(_read_bytes(path)) for tok in ln.split()]
-
-
-def _parse_vertex_set(toks: list[str]) -> list[int]:
+def _read_ints(path: str, message: str) -> list[int]:
+    """Whitespace-separated integers of a text file; any other token raises
+    ParseError(message), where {exc} stands for the int() error."""
+    toks = [tok for _, ln in numbered_lines(_read_bytes(path)) for tok in ln.split()]
     try:
         return [int(tok) for tok in toks]
     except ValueError as exc:
-        raise ParseError(f"vertex set file must contain integers: {exc}") from None
+        raise ParseError(message.format(exc=exc)) from None
 
 
 def _parse_labels(data: bytes, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     lower = [None] * n
     upper = [None] * n
     for lineno, ln in numbered_lines(data):
-        toks = ln.split()
-        if len(toks) != 3:
-            raise ParseError("label line must be 'v lower upper'", lineno)
         try:
-            v, lo, hi = int(toks[0]), int(toks[1]), int(toks[2])
+            v, lo, hi = map(int, ln.split())  # a wrong count is a ValueError too
         except ValueError:
             raise ParseError("label line must be 'v lower upper'", lineno) from None
         if not 0 <= v < n:
@@ -132,27 +127,24 @@ def cmd_solve(args) -> int:
     if args.partition and method != "split":
         raise PreconditionError("--partition applies only to the split method")
     report["method"] = method
+    # auto mode has already checked; MLabeledTree checks again either way
+    if args.method == "tree" and not is_tree(g):
+        raise PreconditionError("method=tree requires a tree input")
+    if args.labels:
+        report["labels"] = "file"
+    elif args.j is None:
+        raise PreconditionError("--j is required without a label file" if method == "tree"
+                                else "--j is required")
+    else:
+        report["j"] = args.j
 
-    if method == "tree":
-        # auto mode has already checked; MLabeledTree checks again either way
-        if args.method == "tree" and not is_tree(g):
-            raise PreconditionError("method=tree requires a tree input")
-        if args.labels:
-            lower, upper = _parse_labels(_read_bytes(args.labels), g.n)
-            t = MLabeledTree(g, lower, upper)
-            value, witness = gamma_M(t)
-            if m_band_violations(t, witness.vertices):
-                raise InternalContradictionError("tree witness failed band re-verification")
-            report["labels"] = "file"
-        else:
-            if args.j is None:
-                raise PreconditionError("--j is required without a label file")
-            value, witness = gamma_1j_tree(g, args.j)
-            _recheck(g, witness, args.j)
-            report["j"] = args.j
+    lower, upper = 1, args.j  # the bands the witness self-check applies
+    if args.labels:
+        lower, upper = _parse_labels(_read_bytes(args.labels), g.n)
+        value, witness = gamma_M(MLabeledTree(g, lower, upper))
+    elif method == "tree":
+        value, witness = gamma_1j_tree(g, args.j)
     elif method == "split":
-        if args.j is None:
-            raise PreconditionError("--j is required")
         if args.partition:
             part = _parse_partition(_read_bytes(args.partition), g.n)
         elif part is None:  # not recognised in auto mode: an explicit --method split
@@ -161,13 +153,8 @@ def cmd_solve(args) -> int:
                 raise PreconditionError("method=split requires a split graph "
                                         "(recognition failed and no partition file given)")
         value, witness = gamma_1j_split(g, part, args.j)
-        _recheck(g, witness, args.j)
-        report["j"] = args.j
     else:
-        if args.j is None:
-            raise PreconditionError("--j is required")
         hit = exact_gamma_1j(g, args.j, engine=method, budget=args.budget, force=args.force)
-        report["j"] = args.j
         if args.budget is not None:
             report["budget"] = args.budget
         if hit is None:
@@ -176,17 +163,12 @@ def cmd_solve(args) -> int:
             _emit(report)
             return EXIT_OK
         value, witness = hit
-        _recheck(g, witness, args.j)
 
+    witness = checked_witness(g, witness.vertices, lower, upper, f"{method} witness")
     report["value"] = value
     report["witness"] = witness.sorted()
     _emit(report)
     return EXIT_OK
-
-
-def _recheck(g: Graph, witness, j: int) -> None:
-    if not verify_1j_set(g, witness.vertices, j).valid:
-        raise InternalContradictionError("witness failed re-verification before printing")
 
 
 def cmd_construct(args) -> int:
@@ -231,7 +213,7 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     g, digest = _load_graph(args.graph)
-    vertices = _parse_vertex_set(_read_tokens(args.set))
+    vertices = _read_ints(args.set, "vertex set file must contain integers: {exc}")
     report = verify_1j_set(g, vertices, args.j)
     _emit({
         "schema": SCHEMA,
@@ -333,12 +315,8 @@ def cmd_reduce(args) -> int:
         "roles_path": sidecar,
     }
     if args.emit_witness:
-        toks = _read_tokens(args.emit_witness)
-        try:
-            cover = tuple(int(tok) - 1 for tok in toks)  # cover files are 1-based
-        except ValueError:
-            raise ParseError("cover file must contain integer triple indices") from None
-        witness = forward_witness(artifact, cover)
+        cover = _read_ints(args.emit_witness, "cover file must contain integer triple indices")
+        witness = forward_witness(artifact, [p - 1 for p in cover])  # cover files are 1-based
         wpath = args.output + ".witness"
         with open(wpath, "w", encoding="utf-8") as fh:
             fh.write(" ".join(str(v) for v in witness.sorted()) + "\n")

@@ -187,11 +187,25 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _selection(n: int, ids: Iterable[int]) -> np.ndarray:
+    """Boolean mask over 0..n-1 of the given ids, which must be in range."""
+    selected = np.zeros(n, dtype=bool)
+    selected[np.fromiter(ids, dtype=np.intp)] = True
+    return selected
+
+
 def _selected_counts(g: Graph, selected: np.ndarray) -> np.ndarray:
     """Selected-neighbor count of every vertex, from a boolean mask over the
     ids: adjacency is symmetric, so it counts the CSR rows of the selected."""
     indptr, indices = g.csr()
     return np.bincount(indices[np.repeat(selected, indptr[1:] - indptr[:-1])], minlength=g.n)
+
+
+def _outside_band(selected: np.ndarray, cnt: np.ndarray, lower, upper) -> np.ndarray:
+    """The band predicate: ids outside the selection whose selected-neighbor
+    count cnt misses lower <= cnt <= upper, in id order. The bounds are
+    scalars or per-vertex arrays."""
+    return np.flatnonzero(~selected & ((cnt < lower) | (cnt > upper)))
 
 
 @dataclass(frozen=True)
@@ -203,22 +217,29 @@ class SplitPartition:
 
 
 def validate_split_partition(g: Graph, part: SplitPartition) -> None:
-    """Raise PreconditionError unless part is a valid split of g."""
+    """Raise PreconditionError unless part is a valid split of g, naming the
+    lexicographically first missing clique pair or independent-side edge.
+    O(n + m): clique vertices count their clique neighbors in one pass."""
     k, s = part.clique, part.independent
     if k & s:
         raise PreconditionError("clique and independent set overlap")
     if k | s != frozenset(range(g.n)):
         raise PreconditionError("partition does not cover all vertices")
-    kl = sorted(k)
-    for i, u in enumerate(kl):
-        for v in kl[i + 1:]:
-            if not g.has_edge(u, v):
-                raise PreconditionError(f"clique side misses edge ({u}, {v})")
-    sl = sorted(s)
-    for i, u in enumerate(sl):
-        for v in sl[i + 1:]:
-            if g.has_edge(u, v):
-                raise PreconditionError(f"independent side contains edge ({u}, {v})")
+    in_k = _selection(g.n, k)
+    cnt = _selected_counts(g, in_k)
+    indptr, indices = g.csr()
+    # the lowest vertex at fault has a higher partner: its partners are at fault too
+    short = np.flatnonzero(in_k & (cnt < len(k) - 1))
+    if len(short):
+        u = int(short[0])
+        row = set(indices[indptr[u]:indptr[u + 1]].tolist())
+        v = min(w for w in k if w > u and w not in row)
+        raise PreconditionError(f"clique side misses edge ({u}, {v})")
+    crossing = np.flatnonzero(~in_k & (np.diff(indptr) > cnt))
+    if len(crossing):
+        u = int(crossing[0])
+        v = next(w for w in indices[indptr[u]:indptr[u + 1]].tolist() if w in s)
+        raise PreconditionError(f"independent side contains edge ({u}, {v})")
 
 
 def numbered_lines(data: str | bytes) -> list[tuple[int, str]]:
@@ -271,19 +292,25 @@ def parse_edge_list(text: str | bytes) -> Graph:
     return Graph._from_checked(n, u, v)
 
 
+def header_pair(line: int | None, header: str | None, names: str) -> tuple[int, int]:
+    """The two integers of an input file's header line; header is None for an
+    input with no non-blank line, and names shows the fields, as in "n m"."""
+    if header is None:
+        raise ParseError(f"empty input, expected header '{names}'")
+    parts = header.split()
+    try:
+        if len(parts) != 2:
+            raise ValueError
+        return int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError(f"header must be two integers '{names}'", line) from None
+
+
 def _read_header(line_nos: Sequence[int], header: str | None) -> int:
     """n, after the header and line-count checks; line_nos are the numbers
     of the non-blank lines and header is the first one's text."""
-    if header is None:
-        raise ParseError("empty input, expected header 'n m'")
-    hline = int(line_nos[0])
-    parts = header.split()
-    if len(parts) != 2:
-        raise ParseError("header must be two integers 'n m'", hline)
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError("header must be two integers 'n m'", hline) from None
+    hline = int(line_nos[0]) if header is not None else None
+    n, m = header_pair(hline, header, "n m")
     if n < 0 or m < 0:
         raise ParseError("header counts must be nonnegative", hline)
     try:

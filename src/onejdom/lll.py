@@ -22,14 +22,18 @@ least j+1 selected neighbors, the clause over v plus the j+1 lowest-id
 selected neighbors.  The clause family is never materialized; a violated
 clause is synthesized from its vertex on demand, which preserves the
 resampling semantics because exactly one failing clause's variables are
-redrawn per step.  Note the over-domination clause contains v's own
-variable: the bad event requires v itself to be unselected, so redrawing
-may equally well fix the event by pulling v in.
+redrawn per step.  Moser and Tardos allow any rule for picking a violated
+event; this one always resamples the clause of the lowest-id violated
+vertex.  Note the over-domination clause contains v's own variable: the
+bad event requires v itself to be unselected, so redrawing may equally
+well fix the event by pulling v in.
 
 The state is a selection mask and the selected-neighbor counts over the
-CSR view.  Each step finds the violated vertices in one array pass, in id
-order, and a flipped vertex updates the counts along its neighbor slice;
-the pass is O(n), so a run that hits the cap costs O(cap * n).
+CSR view.  Each step finds the violated vertices in one pass of the band
+predicate with bands (1, j), in id order, and a flipped vertex updates the
+counts along its neighbor slice; the pass is O(n), so a run that hits the
+cap costs O(cap * n).  A terminated run's set passes the witness
+self-check before it is returned.
 """
 
 from __future__ import annotations
@@ -42,10 +46,9 @@ import numpy as np
 from .errors import (InfeasibleProbabilityError, InternalContradictionError,
                      PreconditionError, PremiseInfeasibleError,
                      ResampleLimitError)
-from .graph import Graph, _selected_counts
-from .oracle import Witness, verify_1j_set
+from .graph import Graph, _outside_band, _selected_counts
+from .oracle import Witness, check_j, checked_witness
 
-E_MINUS_1 = math.e - 1.0
 DEFAULT_RESAMPLE_FACTOR = 1000
 
 
@@ -67,54 +70,18 @@ def g_delta(delta_max: int) -> float:
 
 def feasibility_threshold(delta_max: int, delta_min: int) -> float:
     """Minimum admissible j+1 for the premise: e * (dmax/dmin) * g(dmax)."""
-    _check_degrees(delta_max, delta_min)
-    return math.e * (delta_max / delta_min) * g_delta(delta_max)
-
-
-def _check_degrees(delta_max: int, delta_min: int) -> None:
     if not 1 <= delta_min <= delta_max:
         raise PreconditionError("need 1 <= delta_min <= delta_max")
+    return math.e * (delta_max / delta_min) * g_delta(delta_max)
 
 
 def compute_alpha(j: int, delta_max: int, delta_min: int) -> float | None:
     """Largest alpha satisfying the premise, or None when none exists."""
-    if j < 1:
-        raise PreconditionError("j must be a positive integer")
-    _check_degrees(delta_max, delta_min)
+    check_j(j)
     if j + 1 < feasibility_threshold(delta_max, delta_min):
         return None
     gamma = delta_max / delta_min
     return (j + 1) / (gamma * g_delta(delta_max)) - 1.0
-
-
-def compute_alpha_bisect(j: int, delta_max: int, delta_min: int,
-                         tol: float = 1e-12) -> float | None:
-    """Independent cross-check of compute_alpha by bisecting the premise."""
-    if j < 1:
-        raise PreconditionError("j must be a positive integer")
-    _check_degrees(delta_max, delta_min)
-    gamma = delta_max / delta_min
-    gd = g_delta(delta_max)
-
-    def ok(alpha: float) -> bool:
-        return j + 1 >= (1.0 + alpha) * gamma * gd / s_alpha(alpha)
-
-    if not ok(E_MINUS_1):
-        return None
-    lo = E_MINUS_1
-    hi = max(2.0 * E_MINUS_1, 1.0)
-    while ok(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > 1e12:
-            raise InternalContradictionError("premise never fails; unbounded alpha")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def selection_probability(delta_max: int, delta_min: int, alpha: float) -> float:
@@ -179,8 +146,7 @@ def lll_params(j: int, n: int, delta_max: int, delta_min: int) -> LLLParams:
 def lll_params_for_graph(g: Graph, j: int) -> LLLParams:
     if g.n == 0:
         raise PreconditionError("empty graph")
-    degrees = np.diff(g.csr()[0])
-    delta_min, delta_max = int(degrees.min()), int(degrees.max())
+    delta_min, delta_max = g.min_degree(), g.max_degree()
     if delta_min < 1:
         raise PreconditionError("graph has an isolated vertex (min degree 0)")
     return lll_params(j, g.n, delta_max, delta_min)
@@ -191,7 +157,6 @@ class MTConfig:
     seed: int
     spawn_key: tuple[int, ...] = ()
     max_resamples: int | None = None  # defaults to 1000 * n at run time
-    randomized_clause_choice: bool = False
 
     def __post_init__(self):
         if self.max_resamples is not None and self.max_resamples < 0:
@@ -215,8 +180,7 @@ class MTRun:
 def mt_construct(g: Graph, j: int, config: MTConfig) -> MTRun:
     """Run the resampling constructor until no clause fails.
 
-    Each step resamples the clause of the lowest-id violated vertex, or of a
-    uniformly drawn one with randomized_clause_choice.
+    Each step resamples the clause of the lowest-id violated vertex.
     Raises ResampleLimitError (with a violation census) if the cap is hit;
     a terminated run's witness always verifies.
     """
@@ -235,7 +199,7 @@ def _mt_run(g: Graph, j: int, p: float, config: MTConfig) -> MTRun:
     cnt = _selected_counts(g, in_d)
     resamples = 0
     while True:
-        violated = np.flatnonzero(~in_d & ((cnt == 0) | (cnt > j)))
+        violated = _outside_band(in_d, cnt, 1, j)
         if not len(violated):
             break
         if resamples >= cap:
@@ -246,10 +210,7 @@ def _mt_run(g: Graph, j: int, p: float, config: MTConfig) -> MTRun:
             raise ResampleLimitError(
                 f"no termination within {cap} resampling events "
                 f"(remaining violations: {census})", run=run, census=census)
-        if config.randomized_clause_choice:
-            v = violated[int(rng.integers(0, len(violated)))]
-        else:
-            v = violated[0]
+        v = violated[0]
         nbrs = indices[indptr[v]:indptr[v + 1]]
         if cnt[v]:  # over-dominated: v and its j+1 lowest-id selected neighbors
             nbrs = nbrs[in_d[nbrs]][: j + 1]
@@ -260,19 +221,12 @@ def _mt_run(g: Graph, j: int, p: float, config: MTConfig) -> MTRun:
                 in_d[w] = new
         resamples += 1
 
-    result = frozenset(np.flatnonzero(in_d).tolist())
-    report = verify_1j_set(g, result, j)
-    if not report.valid:
-        raise InternalContradictionError(
-            "terminated resampling produced an invalid set: "
-            f"undominated={list(report.undominated)} "
-            f"overdominated={list(report.overdominated)}")
-    return MTRun(config.seed, config.spawn_key, cap, resamples, True, Witness(result))
+    result = checked_witness(g, np.flatnonzero(in_d).tolist(), 1, j, "terminated resampling")
+    return MTRun(config.seed, config.spawn_key, cap, resamples, True, result)
 
 
 def mt_trials(g: Graph, j: int, master_seed: int, trials: int,
-              max_resamples: int | None = None,
-              randomized_clause_choice: bool = False) -> list[MTRun]:
+              max_resamples: int | None = None) -> list[MTRun]:
     """Independent runs, trial t drawing from spawn key (t) of the master seed.
 
     Runs that hit the cap are recorded with terminated=False instead of
@@ -284,8 +238,7 @@ def mt_trials(g: Graph, j: int, master_seed: int, trials: int,
     p = lll_params_for_graph(g, j).p
     runs: list[MTRun] = []
     for t in range(trials):
-        cfg = MTConfig(seed=master_seed, spawn_key=(t,), max_resamples=max_resamples,
-                       randomized_clause_choice=randomized_clause_choice)
+        cfg = MTConfig(seed=master_seed, spawn_key=(t,), max_resamples=max_resamples)
         try:
             runs.append(_mt_run(g, j, p, cfg))
         except ResampleLimitError as exc:

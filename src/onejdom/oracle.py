@@ -21,10 +21,8 @@ from itertools import combinations
 from math import ceil
 from typing import Iterable, Iterator
 
-import numpy as np
-
-from .errors import PreconditionError, SizeGuardError
-from .graph import Graph, _selected_counts
+from .errors import InternalContradictionError, PreconditionError, SizeGuardError
+from .graph import Graph, _outside_band, _selected_counts, _selection
 
 ENUM_GUARD = 20
 BNB_GUARD = 36
@@ -50,26 +48,50 @@ class VerifyReport:
     overdominated: tuple[int, ...]
 
 
+def check_j(j: int) -> None:
+    """The package's one check of the parameter j."""
+    if j < 1:
+        raise PreconditionError("j must be a positive integer")
+
+
 def verify_1j_set(g: Graph, vertices: Iterable[int], j: int) -> VerifyReport:
     """Check the (1,j) condition for every vertex outside the given set.
 
-    After a range check of the ids, one selected-neighbor count over the CSR
-    view yields the undominated and overdominated vertices, in id order.
+    After a range check of the ids, the band predicate with bands (1, j)
+    over one selected-neighbor count yields the undominated and
+    overdominated vertices, in id order.
     """
-    if j < 1:
-        raise PreconditionError("j must be a positive integer")
+    check_j(j)
     dset = frozenset(vertices)
     for v in dset:
         if not 0 <= v < g.n:
             raise PreconditionError(f"vertex id {v} out of range")
-    selected = np.zeros(g.n, dtype=bool)
-    selected[np.fromiter(dset, dtype=np.intp, count=len(dset))] = True
+    selected = _selection(g.n, dset)
     cnt = _selected_counts(g, selected)
-    outside = ~selected
-    undominated = np.flatnonzero(outside & (cnt == 0)).tolist()
-    overdominated = np.flatnonzero(outside & (cnt > j)).tolist()
-    return VerifyReport(not undominated and not overdominated,
-                        tuple(undominated), tuple(overdominated))
+    bad = _outside_band(selected, cnt, 1, j)
+    under = cnt[bad] == 0
+    return VerifyReport(not len(bad), tuple(bad[under].tolist()), tuple(bad[~under].tolist()))
+
+
+def checked_witness(g: Graph, vertices: Iterable[int], lower, upper, caller: str) -> Witness:
+    """The self-check every engine runs on its answer before returning it.
+
+    Returns the set as a Witness when every vertex outside it has a
+    selected-neighbor count in [lower, upper] (scalars, or one entry per
+    vertex). Otherwise the engine contradicted itself: raises
+    InternalContradictionError naming the caller and the ids outside their
+    band, or the first id that is not a vertex of g.
+    """
+    dset = frozenset(vertices)
+    stray = sorted(v for v in dset if not 0 <= v < g.n)
+    if stray:
+        raise InternalContradictionError(f"{caller}: vertex id {stray[0]} out of range")
+    selected = _selection(g.n, dset)
+    bad = _outside_band(selected, _selected_counts(g, selected), lower, upper)
+    if len(bad):
+        raise InternalContradictionError(
+            f"{caller}: set failed its self-check, vertices outside their band: {bad.tolist()}")
+    return Witness(dset)
 
 
 def _check_guard(n: int, limit: int, force: bool, what: str) -> None:
@@ -243,8 +265,7 @@ def exact_gamma_1j(
     (1,j)-set of size <= budget exists.  Without a budget an answer always
     exists because the whole vertex set vacuously qualifies.
     """
-    if j < 1:
-        raise PreconditionError("j must be a positive integer")
+    check_j(j)
     if budget is not None and budget < 0:
         raise PreconditionError("budget must be nonnegative")
     if engine == "brute":

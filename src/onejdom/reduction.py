@@ -24,8 +24,8 @@ from itertools import combinations, takewhile
 
 from .errors import (InternalContradictionError, ParseError,
                      PreconditionError, SizeGuardError)
-from .graph import Graph, numbered_lines
-from .oracle import Witness, banded_sets, verify_1j_set
+from .graph import Graph, header_pair, numbered_lines
+from .oracle import Witness, banded_sets, checked_witness, verify_1j_set
 
 log = logging.getLogger(__name__)
 
@@ -69,16 +69,7 @@ class EX3CInstance:
 def parse_ex3c(text: str | bytes) -> EX3CInstance:
     """Parse the instance format: header "q t", then t lines of 3 elements."""
     numbered = numbered_lines(text)
-    if not numbered:
-        raise ParseError("empty input, expected header 'q t'")
-    hline, header = numbered[0]
-    toks = header.split()
-    try:
-        q, t = int(toks[0]), int(toks[1])
-        if len(toks) != 2:
-            raise ValueError
-    except (ValueError, IndexError):
-        raise ParseError("header must be two integers 'q t'", hline) from None
+    q, t = header_pair(*(numbered[0] if numbered else (None, None)), "q t")
     body = numbered[1:]
     if len(body) != t:
         raise ParseError(f"expected {t} triple lines, found {len(body)}")
@@ -210,11 +201,13 @@ def _validate_cover(inst: EX3CInstance, cover: tuple[int, ...]) -> None:
     if len(cover) != inst.q:
         raise PreconditionError(
             f"an exact cover must use exactly q = {inst.q} triples, got {len(cover)}")
-    covered: set[int] = set()
-    for p in cover:
-        covered |= set(inst.triples[p])
-    if covered != set(inst.universe):
+    if not _covers_universe(inst, cover):
         raise PreconditionError("selected triples do not partition the universe")
+
+
+def _covers_universe(inst: EX3CInstance, cover: tuple[int, ...]) -> bool:
+    """The exact-cover test for q triples, which partition what they cover."""
+    return set().union(*(inst.triples[p] for p in cover)) == set(inst.universe)
 
 
 def forward_witness(artifact: ReductionArtifact, cover: tuple[int, ...] | list[int]) -> Witness:
@@ -233,12 +226,7 @@ def forward_witness(artifact: ReductionArtifact, cover: tuple[int, ...] | list[i
     if len(d) != artifact.k:
         raise InternalContradictionError(
             f"forward witness has size {len(d)}, expected k = {artifact.k}")
-    report = verify_1j_set(artifact.graph, d, artifact.j)
-    if not report.valid:
-        raise InternalContradictionError(
-            f"forward witness failed verification: undominated="
-            f"{list(report.undominated)} overdominated={list(report.overdominated)}")
-    return Witness(frozenset(d))
+    return checked_witness(artifact.graph, d, 1, artifact.j, "forward witness")
 
 
 def extract_cover(artifact: ReductionArtifact, vertices) -> tuple[int, ...] | None:
@@ -257,12 +245,10 @@ def extract_cover(artifact: ReductionArtifact, vertices) -> tuple[int, ...] | No
             f"vertex set has size {len(dset)} > budget k = {artifact.k}")
     inst = artifact.instance
     cover = tuple(p for p in range(inst.t) if artifact.v_id(p) in dset)
-    try:
-        _validate_cover(inst, cover)
-    except PreconditionError:
-        log.warning("verified in-budget set did not induce an exact cover: %s", cover)
-        return None
-    return cover
+    if len(cover) == inst.q and _covers_universe(inst, cover):
+        return cover
+    log.warning("verified in-budget set did not induce an exact cover: %s", cover)
+    return None
 
 
 def solve_ex3c_brute(inst: EX3CInstance, force: bool = False) -> tuple[int, ...] | None:
@@ -270,16 +256,8 @@ def solve_ex3c_brute(inst: EX3CInstance, force: bool = False) -> tuple[int, ...]
     if (inst.q > EX3C_Q_GUARD or inst.t > EX3C_T_GUARD) and not force:
         raise SizeGuardError(
             f"brute solver guards at q <= {EX3C_Q_GUARD}, t <= {EX3C_T_GUARD}")
-    want = set(inst.universe)
-    for combo in combinations(range(inst.t), inst.q):
-        covered: set[int] = set()
-        size = 0
-        for p in combo:
-            covered |= set(inst.triples[p])
-            size += 3
-        if size == len(covered) == len(want) and covered == want:
-            return combo
-    return None
+    return next((combo for combo in combinations(range(inst.t), inst.q)
+                 if _covers_universe(inst, combo)), None)
 
 
 @dataclass(frozen=True)

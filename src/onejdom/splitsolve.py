@@ -21,11 +21,13 @@ i = 0..n1 reach every clique subset with its forced independent side.
 
 One scan, _trace_class, yields the admissible clique parts of a class in
 lex order.  gamma_1j_split (through split_case_candidates) takes the
-smallest candidate of each class, re-verifying every candidate before it
-may win: a candidate that fails verification aborts the run, because it
-would mean the case analysis was misapplied.  is_gamma_n_split reads the
-same scan for conditions (i)-(iii), but only asks whether a class yields
-anything, stopping at the first hit and verifying nothing.
+smallest candidate of each class, passing every candidate through the
+witness self-check before it may win: a candidate that fails it aborts the
+run, because it would mean the case analysis was misapplied.
+is_gamma_n_split reads the same scan for conditions (i)-(iii), but only
+asks whether a class yields anything, stopping at the first hit and
+verifying nothing.  Both entry points share one prologue: the j check,
+the partition check and connectivity.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .errors import InternalContradictionError, PreconditionError
+from .errors import PreconditionError
 from .graph import Graph, SplitPartition, is_connected, validate_split_partition
-from .oracle import Witness, verify_1j_set
+from .oracle import Witness, check_j, checked_witness
 
 
 @dataclass(frozen=True)
@@ -55,14 +57,12 @@ class GammaNReport:
     failed: tuple[str, ...]
 
 
-def _checked(g: Graph, j: int, case_index: int, vertices: set[int], detail: str) -> frozenset[int]:
-    report = verify_1j_set(g, vertices, j)
-    if not report.valid:
-        raise InternalContradictionError(
-            f"case {case_index} produced an invalid candidate ({detail}): "
-            f"undominated={list(report.undominated)} "
-            f"overdominated={list(report.overdominated)}")
-    return frozenset(vertices)
+def _prologue(g: Graph, part: SplitPartition, j: int, what: str) -> None:
+    """The checks both entry points run first: j, the partition, connectivity."""
+    check_j(j)
+    validate_split_partition(g, part)
+    if not is_connected(g):
+        raise PreconditionError(f"{what} requires a connected graph")
 
 
 def _trace_class(g: Graph, K: list[int], S: list[int], i: int,
@@ -96,30 +96,24 @@ def split_case_candidates(g: Graph, part: SplitPartition, j: int) -> list[SplitC
     S = sorted(part.independent)
     results: list[SplitCaseResult] = []
     for i in range(j + 2):
-        best: frozenset[int] | None = None
+        best: Witness | None = None
         for ksub, forced in _trace_class(g, K, S, i, j):
-            cand = _checked(g, j, i, set(ksub) | forced, f"clique part {ksub}")
-            if best is None or len(cand) < len(best):
+            cand = checked_witness(g, forced.union(ksub), 1, j,
+                                   f"split case {i}, clique part {ksub}")
+            if best is None or cand.cardinality < best.cardinality:
                 best = cand
             if i == j:
                 break  # all case-j candidates have size j; first in lex order wins
-        results.append(SplitCaseResult(i, Witness(best) if best is not None else None))
+        results.append(SplitCaseResult(i, best))
     return results
 
 
 def gamma_1j_split(g: Graph, part: SplitPartition, j: int) -> tuple[int, Witness]:
     """Minimum (1,j)-set of a connected split graph with its partition."""
-    if j < 1:
-        raise PreconditionError("j must be a positive integer")
-    validate_split_partition(g, part)
-    if not is_connected(g):
-        raise PreconditionError("split solver requires a connected graph")
-    best: Witness | None = None
-    for case in split_case_candidates(g, part, j):
-        cand = case.candidate
-        if cand is not None and (best is None or cand.cardinality < best.cardinality):
-            best = cand
-    assert best is not None  # the K-inside case always emits
+    _prologue(g, part, j, "split solver")
+    # the K-inside case always emits; min keeps the first of the smallest
+    best = min((c.candidate for c in split_case_candidates(g, part, j) if c.candidate),
+               key=lambda w: w.cardinality)
     return best.cardinality, best
 
 
@@ -143,11 +137,7 @@ def is_gamma_n_split(g: Graph, part: SplitPartition, j: int) -> GammaNReport:
     degenerate exception: its minimum is trivially n but the case analysis
     behind the conditions does not apply).
     """
-    if j < 1:
-        raise PreconditionError("j must be a positive integer")
-    validate_split_partition(g, part)
-    if not is_connected(g):
-        raise PreconditionError("characterization requires a connected graph")
+    _prologue(g, part, j, "characterization")
     K = sorted(part.clique)
     S = sorted(part.independent)
     failed = [name for name, classes in (("i", [0]), ("ii", range(1, j)), ("iii", [j]))

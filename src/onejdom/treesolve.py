@@ -28,11 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import PreconditionError
-from .graph import Graph, _selected_counts, is_tree
-from .oracle import Witness
+from .graph import Graph, _outside_band, _selected_counts, _selection, is_tree
+from .oracle import Witness, check_j
 
 _INF = 1 << 30
 
@@ -60,8 +58,7 @@ class MLabeledTree:
 
 def uniform_labeled_tree(g: Graph, j: int) -> MLabeledTree:
     """Bands (1, j) everywhere: feasible sets are exactly the (1,j)-sets."""
-    if j < 1:
-        raise PreconditionError("j must be a positive integer")
+    check_j(j)
     return MLabeledTree(g, (1,) * g.n, (j,) * g.n)
 
 
@@ -169,8 +166,6 @@ def m_band_violations(t: MLabeledTree, vertices) -> list[int]:
     """Vertices outside the set whose selected-neighbor count leaves its band,
     in id order; ids outside the tree select nothing."""
     n = t.tree.n
-    selected = np.zeros(n, dtype=bool)
-    selected[np.fromiter((v for v in frozenset(vertices) if 0 <= v < n), dtype=np.intp)] = True
+    selected = _selection(n, (v for v in frozenset(vertices) if 0 <= v < n))
     cnt = _selected_counts(t.tree, selected)
-    outside_band = (cnt < np.asarray(t.lower)) | (cnt > np.asarray(t.upper))
-    return np.flatnonzero(~selected & outside_band).tolist()
+    return _outside_band(selected, cnt, t.lower, t.upper).tolist()

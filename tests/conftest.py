@@ -7,8 +7,11 @@ exercise.
 
 import heapq
 import itertools
+import math
 
-from onejdom import Graph, SplitPartition
+from onejdom import Graph, InternalContradictionError, SplitPartition
+from onejdom.lll import feasibility_threshold, g_delta, s_alpha
+from onejdom.oracle import check_j
 
 
 def prufer_decode(seq, n):
@@ -59,3 +62,32 @@ def gamma_n_split_example():
                 edges.append((v, s))
     part = SplitPartition(frozenset(K), frozenset(range(6, 12)))
     return Graph(12, edges), part
+
+
+def compute_alpha_bisect(j, delta_max, delta_min, tol=1e-12):
+    """Independent cross-check of compute_alpha by bisecting the premise."""
+    check_j(j)
+    feasibility_threshold(delta_max, delta_min)  # the same degree checks
+    gamma = delta_max / delta_min
+    gd = g_delta(delta_max)
+    e_minus_1 = math.e - 1.0
+
+    def ok(alpha):
+        return j + 1 >= (1.0 + alpha) * gamma * gd / s_alpha(alpha)
+
+    if not ok(e_minus_1):
+        return None
+    lo = e_minus_1
+    hi = max(2.0 * e_minus_1, 1.0)
+    while ok(hi):
+        lo = hi
+        hi *= 2.0
+        if hi > 1e12:
+            raise InternalContradictionError("premise never fails; unbounded alpha")
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo

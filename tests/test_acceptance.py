@@ -13,10 +13,10 @@ import math
 import random
 import time
 
-from conftest import all_trees, gamma_n_split_example
+from conftest import all_trees, compute_alpha_bisect, gamma_n_split_example
 from onejdom import (EX3CInstance, Graph, MLabeledTree, SplitPartition,
                      build_reduction, chordality_check, compute_alpha,
-                     compute_alpha_bisect, exact_gamma, exact_gamma_1j,
+                     exact_gamma, exact_gamma_1j,
                      exact_gamma_M, f_alpha, feasibility_threshold,
                      forward_witness, gadget_lower_bounds, gamma_1j_split,
                      gamma_1j_tree, gamma_M, gnp, is_gamma_n_split,

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from onejdom import (Graph, feasibility_threshold, parse_edge_list, verify_1j_set,
@@ -329,17 +330,52 @@ def test_split_solve_recognises_split_once(tmp_path, capsys, monkeypatch):
         assert len(calls) == 1, (argv, calls)
 
 
-def test_construct_invalid_witness_is_internal_contradiction(tmp_path, capsys, monkeypatch):
-    import onejdom.lll
-    from onejdom import VerifyReport
+def _failing_self_check(monkeypatch):
+    """Make the witness self-check see every vertex outside the set as out of band."""
+    import onejdom.oracle
 
-    monkeypatch.setattr(onejdom.lll, "verify_1j_set",
-                        lambda g, vertices, j: VerifyReport(False, (0,), ()))
+    monkeypatch.setattr(onejdom.oracle, "_outside_band",
+                        lambda selected, cnt, lower, upper: np.flatnonzero(~selected))
+
+
+def test_construct_invalid_witness_is_internal_contradiction(tmp_path, capsys, monkeypatch):
+    _failing_self_check(monkeypatch)
     path = write_graph(tmp_path, random_regular(40, 12, 9))
     code, out, err = run_cli(capsys, "construct", path, "--j", "18", "--seed", "1")
     assert code == 5 and out == ""
     lines = [ln for ln in err.splitlines() if not ln.startswith("elapsed_seconds=")]
     assert len(lines) == 1 and lines[0].startswith("internal contradiction:"), lines
+
+
+@pytest.mark.parametrize("site", ["tree", "tree labels", "split", "bnb", "reduce"])
+def test_failed_self_check_is_internal_contradiction(tmp_path, capsys, monkeypatch, site):
+    # every engine's answer goes through the one witness self-check before it
+    # is printed or written; a failure there exits 5 and prints nothing
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0 1 1\n1 1 1\n2 1 1\n", encoding="utf-8")
+    ex3c = tmp_path / "inst.ex3c"
+    ex3c.write_text("1 1\n1 2 3\n", encoding="utf-8")
+    cover = tmp_path / "cover.txt"
+    cover.write_text("1\n", encoding="utf-8")
+    split = write_graph(tmp_path, parse_edge_list("4 4\n0 1\n0 2\n1 2\n2 3\n"), "s.edges")
+    argv, caller = {
+        "tree": (["solve", write_graph(tmp_path, path_graph(5), "t.edges"), "--j", "2"],
+                 "tree witness"),
+        "tree labels": (["solve", write_graph(tmp_path, path_graph(3), "l.edges"), "--method", "tree",
+                         "--labels", str(labels)], "tree witness"),
+        "split": (["solve", split, "--j", "2"], "split case"),
+        "bnb": (["solve", write_graph(tmp_path, cycle_graph(6), "b.edges"), "--j", "2"],
+                "bnb witness"),
+        "reduce": (["reduce", "--ex3c", str(ex3c), "--j", "2", "-o", str(tmp_path / "r.edges"),
+                    "--emit-witness", str(cover)], "forward witness"),
+    }[site]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+    _failing_self_check(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 5 and out == ""
+    lines = [ln for ln in err.splitlines() if not ln.startswith("elapsed_seconds=")]
+    assert len(lines) == 1 and lines[0].startswith(f"internal contradiction: {caller}"), lines
 
 
 def test_tree_method_on_non_tree_with_labels_exit_3(tmp_path, capsys):

@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onejdom import (Graph, MLabeledTree, PreconditionError, SizeGuardError,
-                     complete_graph, exact_gamma, exact_gamma_1j, exact_gamma_M,
-                     gnp, path_graph, random_tree, star_graph, verify_1j_set)
+from onejdom import (Graph, InternalContradictionError, MLabeledTree, PreconditionError,
+                     SizeGuardError, Witness, complete_graph, exact_gamma,
+                     exact_gamma_1j, exact_gamma_M, gnp, path_graph, random_tree,
+                     star_graph, verify_1j_set)
+from onejdom.oracle import checked_witness
 
 
 def test_verify_k3_single_center():
@@ -32,6 +34,24 @@ def test_verify_rejects_out_of_range():
         verify_1j_set(path_graph(3), {5}, 1)
     with pytest.raises(PreconditionError):
         verify_1j_set(path_graph(3), {0}, 0)
+
+
+def test_checked_witness_returns_the_set_or_names_the_fault():
+    g = path_graph(5)
+    assert checked_witness(g, [1, 3, 3], 1, 2, "p5") == Witness(frozenset({1, 3}))
+    with pytest.raises(InternalContradictionError, match=r"^p5: .*band: \[0, 4\]$"):
+        checked_witness(g, [2], 1, 2, "p5")
+    # per-vertex bands: vertex 2 may see no selected neighbour, vertex 3 must see two
+    lower, upper = (1, 1, 0, 2, 1), (2, 2, 0, 2, 2)
+    with pytest.raises(InternalContradictionError, match=r"band: \[2, 3\]$"):
+        checked_witness(g, [1, 4], lower, upper, "bands")
+    assert checked_witness(g, [1, 2, 4], (0, 0, 0, 0, 0), (1, 1, 1, 2, 1), "bands").cardinality == 3
+
+
+@pytest.mark.parametrize("vertices", [[0, 5], [-1, 2], [7], [2, 10**20]])
+def test_checked_witness_out_of_range_id_is_internal_contradiction(vertices):
+    with pytest.raises(InternalContradictionError, match="^caller: vertex id -?[0-9]+ out of range$"):
+        checked_witness(path_graph(5), vertices, 1, 2, "caller")
 
 
 def test_exact_gamma_1j_p4():

@@ -5,10 +5,11 @@ import random
 import pytest
 
 from conftest import gamma_n_split_example
-from onejdom import (EX3CInstance, Graph, build_reduction, chordality_check,
-                     complete_graph, cycle_graph, find_chordless_cycle, gnp,
-                     path_graph, random_split, random_tree, split_recognition,
-                     star_graph, validate_split_partition)
+from onejdom import (EX3CInstance, Graph, PreconditionError, SplitPartition, Witness,
+                     build_reduction, chordality_check, complete_graph, cycle_graph,
+                     find_chordless_cycle, gamma_1j_split, gnp, path_graph,
+                     random_split, random_tree, split_recognition, star_graph,
+                     validate_split_partition)
 from onejdom.recognize import lex_bfs
 
 
@@ -181,6 +182,86 @@ def test_split_recognition_gamma_n_example():
     part = split_recognition(g)
     assert part is not None
     validate_split_partition(g, part)
+
+
+def _pairwise_split_check(g, part):
+    """The former validate_split_partition: every pair of each side through has_edge."""
+    k, s = part.clique, part.independent
+    if k & s:
+        raise PreconditionError("clique and independent set overlap")
+    if k | s != frozenset(range(g.n)):
+        raise PreconditionError("partition does not cover all vertices")
+    kl = sorted(k)
+    for i, u in enumerate(kl):
+        for v in kl[i + 1:]:
+            if not g.has_edge(u, v):
+                raise PreconditionError(f"clique side misses edge ({u}, {v})")
+    sl = sorted(s)
+    for i, u in enumerate(sl):
+        for v in sl[i + 1:]:
+            if g.has_edge(u, v):
+                raise PreconditionError(f"independent side contains edge ({u}, {v})")
+
+
+def _split_check_outcome(check, g, part):
+    try:
+        check(g, part)
+    except PreconditionError as exc:
+        return str(exc)
+    return None
+
+
+def test_split_partition_check_matches_pairwise_reference():
+    # seeded split graphs with one injected fault each: a vertex moved across,
+    # a clique edge removed, an independent edge added, a vertex dropped or
+    # doubled, or a random partition of a random graph
+    rnd = random.Random(5)
+    outcomes = set()
+    for seed in range(400):
+        g, part = random_split(rnd.randint(1, 9), rnd.randint(0, 9),
+                               rnd.choice([0.2, 0.5, 0.9]), seed)
+        k, s = set(part.clique), set(part.independent)
+        edges = set(g.edges())
+        fault = seed % 7
+        if fault == 1 and s:
+            v = rnd.choice(sorted(s))
+            s.discard(v)
+            k.add(v)
+        elif fault == 2:
+            v = rnd.choice(sorted(k))
+            k.discard(v)
+            s.add(v)
+        elif fault == 3 and len(k) > 1:
+            edges.discard(tuple(sorted(rnd.sample(sorted(k), 2))))
+        elif fault == 4 and len(s) > 1:
+            edges.add(tuple(sorted(rnd.sample(sorted(s), 2))))
+        elif fault == 5:
+            v = rnd.randrange(g.n)
+            rnd.choice([k, s]).discard(v)
+            if rnd.random() < 0.5:
+                (s if v in k else k).add(v)
+        elif fault == 6:
+            g = gnp(rnd.randint(1, 12), rnd.choice([0.1, 0.5, 0.9]), seed)
+            k = {v for v in range(g.n) if rnd.random() < 0.5}
+            s, edges = set(range(g.n)) - k, set(g.edges())
+        g = Graph(g.n, sorted(edges))
+        part = SplitPartition(frozenset(k), frozenset(s))
+        ours = _split_check_outcome(validate_split_partition, g, part)
+        assert ours == _split_check_outcome(_pairwise_split_check, g, part), (seed, part)
+        outcomes.add(ours.split(" (")[0] if ours else None)
+    assert outcomes == {None, "clique and independent set overlap",
+                        "partition does not cover all vertices",
+                        "clique side misses edge", "independent side contains edge"}
+
+
+def test_split_check_is_linear_on_a_k2_joined_to_many_independents():
+    # every independent vertex sees both clique vertices; the pairwise check
+    # made about 5e9 has_edge calls on this shape
+    n_ind = 10**5
+    g = Graph(n_ind + 2, [(0, 1)] + [(c, v) for v in range(2, n_ind + 2) for c in (0, 1)])
+    part = split_recognition(g)
+    assert part.clique == frozenset({0, 1, 2})  # vertex 2 ties at the boundary
+    assert gamma_1j_split(g, part, 1) == (1, Witness(frozenset({0})))
 
 
 def test_lex_bfs_matches_reference_order():

@@ -9,6 +9,7 @@ from conftest import gamma_n_split_example
 from onejdom import (Graph, PreconditionError, SplitPartition, complete_graph,
                      cycle_graph, exact_gamma_1j, gamma_1j_split, is_gamma_n_split,
                      random_split, star_graph, verify_1j_set)
+from onejdom.oracle import checked_witness
 from onejdom.splitsolve import split_case_candidates
 
 
@@ -172,8 +173,8 @@ def test_gamma_n_test_reads_the_solver_scan(n1, n2, p, seed, j):
     if g.n < 2:
         return
     cases = {c.case_index: c.candidate for c in split_case_candidates(g, part, j)}
-    with patch.object(onejdom.splitsolve, "verify_1j_set",
-                      side_effect=verify_1j_set) as counting_verify:
+    with patch.object(onejdom.splitsolve, "checked_witness",
+                      side_effect=checked_witness) as counting_verify:
         failed = set(is_gamma_n_split(g, part, j).failed)
     assert counting_verify.call_count == 0
     assert ("i" in failed) == (cases[0] is not None)
