@@ -8,7 +8,7 @@ reproduce identical graphs on every platform.
 from __future__ import annotations
 
 import heapq
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -81,15 +81,8 @@ def random_split(n1: int, n2: int, edge_prob: float, seed: int) -> tuple[Graph, 
     edges = list(combinations(range(n1), 2))
     draws = rng.random((n2, n1))
     for si in range(n2):
-        s = n1 + si
-        row = draws[si] < edge_prob
-        hit = False
-        for k in range(n1):
-            if row[k]:
-                edges.append((k, s))
-                hit = True
-        if not hit:
-            edges.append((int(rng.integers(0, n1)), s))
+        hits = np.flatnonzero(draws[si] < edge_prob).tolist() or [int(rng.integers(0, n1))]
+        edges.extend((k, n1 + si) for k in hits)
     part = SplitPartition(frozenset(range(n1)), frozenset(range(n1, n1 + n2)))
     return Graph(n1 + n2, edges), part
 
@@ -157,10 +150,8 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     rng = _rng(seed)
     edges = []
     for u in range(n - 1):
-        row = rng.random(n - u - 1) < p
-        for off, hit in enumerate(row):
-            if hit:
-                edges.append((u, u + 1 + off))
+        hits = np.flatnonzero(rng.random(n - u - 1) < p).tolist()
+        edges.extend((u, u + 1 + off) for off in hits)
     return Graph(n, edges)
 
 
@@ -183,11 +174,7 @@ def composite_gamma_n(
 
     if not parts:
         raise PreconditionError("at least one part is required")
-    offsets = []
-    total = 0
-    for g, _ in parts:
-        offsets.append(total)
-        total += g.n
+    offsets = list(accumulate((g.n for g, _ in parts), initial=0))
     for idx, (g, part) in enumerate(parts):
         report = is_gamma_n_split(g, part, j)
         if not report.holds:
@@ -196,8 +183,7 @@ def composite_gamma_n(
                 f"(conditions {', '.join(report.failed)})")
 
     edges: list[tuple[int, int]] = []
-    for idx, (g, _) in enumerate(parts):
-        off = offsets[idx]
+    for off, (g, _) in zip(offsets, parts):
         edges.extend((u + off, v + off) for u, v in g.edges())
 
     if cross_edges is None:
@@ -218,4 +204,4 @@ def composite_gamma_n(
             raise PreconditionError(
                 f"cross edge (({a},{u}),({b},{w})) touches an independent-set vertex")
         edges.append((u + offsets[a], w + offsets[b]))
-    return Graph(total, edges)
+    return Graph(offsets[-1], edges)

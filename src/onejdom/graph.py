@@ -2,14 +2,15 @@
 
 Vertices are the dense ids 0..n-1. Graphs are simple and undirected, and
 immutable once constructed, so they can be shared freely between solvers
-and concurrent tasks. A graph is stored as one read-only int32 CSR pair;
-the Python views the exact engines walk (neighbor tuples, frozensets, bit
-masks) are derived from it on first use, so array-only callers such as the
-resampler and the set verifier never build them.
+and concurrent tasks. A graph has two views of its adjacency: the
+read-only int32 CSR pair it is stored as, and the neighbor tuples the
+exact engines walk, built from it on first use, so array-only callers such
+as the resampler and the set verifier never build them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
@@ -72,10 +73,10 @@ def _fault_message(n: int, u: int, v: int) -> str:
 class Graph:
     """Simple undirected graph stored as read-only int32 CSR arrays.
 
-    csr() returns the storage itself: v's sorted neighbors are
-    indices[indptr[v]:indptr[v + 1]]. Degrees, edges() and == read the
-    arrays; neighbors() tuples, neighbor_set() frozensets and
-    neighbor_masks() are built from them on first use and cached.
+    It has two views: csr() returns the storage itself, where v's sorted
+    neighbors are indices[indptr[v]:indptr[v + 1]], and neighbors(v) gives
+    them as a tuple; the tuples are built on first use and cached.
+    Degrees, edges() and == read the arrays; has_edge bisects a tuple.
 
     The constructor rejects an out-of-range id, a self-loop or a duplicate
     edge with ValueError, naming the first faulty edge in the order given.
@@ -83,7 +84,7 @@ class Graph:
     it too, then builds through the same CSR constructor.
     """
 
-    __slots__ = ("n", "m", "_indptr", "_indices", "_nbrs", "_nbr_sets", "_masks")
+    __slots__ = ("n", "m", "_indptr", "_indices", "_nbrs")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         _check_vertex_count(n)
@@ -115,28 +116,13 @@ class Graph:
         self.m = len(u)
         self._indptr, self._indices = indptr, indices
         self._nbrs: tuple[tuple[int, ...], ...] | None = None
-        self._nbr_sets: tuple[frozenset[int], ...] | None = None
-        self._masks: tuple[int, ...] | None = None
-
-    def _rows(self) -> tuple[tuple[int, ...], ...]:
-        if self._nbrs is None:
-            flat, ptr = self._indices.tolist(), self._indptr.tolist()
-            self._nbrs = tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
-        return self._nbrs
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         nbrs = self._nbrs
         if nbrs is None:
-            nbrs = self._rows()
+            flat, ptr = self._indices.tolist(), self._indptr.tolist()
+            nbrs = self._nbrs = tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
         return nbrs[v]
-
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        if self._nbr_sets is None:
-            # copied from a set, a frozenset gets a table sized once, up to 2x
-            # smaller than one grown from a tuple; the split solver's unions
-            # iterate whole tables
-            self._nbr_sets = tuple(frozenset(set(t)) for t in self._rows())
-        return self._nbr_sets[v]
 
     def degree(self, v: int) -> int:
         return int(self._indptr[v + 1] - self._indptr[v])
@@ -151,25 +137,15 @@ class Graph:
         return int(np.diff(self._indptr).min()) if self.n else 0
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbor_set(u)
+        row = self.neighbors(u)
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each edge once, as (u, v) with u < v, in sorted order."""
         src = np.repeat(np.arange(self.n), np.diff(self._indptr))
         up = src < self._indices
         return zip(src[up].tolist(), self._indices[up].tolist())
-
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Open neighborhoods as bitmasks; computed once and cached."""
-        if self._masks is None:
-            masks = []
-            for nbrs in self._rows():
-                mask = 0
-                for u in nbrs:
-                    mask |= 1 << u
-                masks.append(mask)
-            self._masks = tuple(masks)
-        return self._masks
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """The read-only int32 storage (indptr, indices)."""

@@ -105,16 +105,15 @@ def banded_sets(g: Graph, lower, upper, limit: int | None = None) -> Iterator[tu
 
     Sets come in increasing cardinality (up to limit) and in combinations
     order within a cardinality, so the first one is a lexicographically
-    smallest minimum.
+    smallest minimum. The neighborhoods are bit masks over the ids, built
+    by each call from the neighbor tuples.
     """
     n = g.n
-    masks = g.neighbor_masks()
     full = (1 << n) - 1
     bits = [1 << v for v in range(n)]
-    free = full  # vertices that may stay out with no selected neighbor
-    for v in range(n):
-        if lower[v] >= 1:
-            free ^= bits[v]
+    masks = [sum(bits[u] for u in g.neighbors(v)) for v in range(n)]
+    # vertices that may stay out with no selected neighbor
+    free = full ^ sum(bits[v] for v in range(n) if lower[v] >= 1)
     top = n if limit is None else min(limit, n)
     for k in range(top + 1):
         for combo in combinations(range(n), k):

@@ -12,6 +12,8 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .errors import InternalContradictionError
 from .graph import Graph, SplitPartition, validate_split_partition
 
@@ -164,7 +166,7 @@ def find_chordless_cycle(g: Graph) -> tuple[int, ...] | None:
         nbrs = g.neighbors(v)
         if len(nbrs) < 2:
             continue
-        closed = g.neighbor_set(v) | {v}
+        closed = {v, *nbrs}
         for u, w in combinations(nbrs, 2):
             if g.has_edge(u, w):
                 continue
@@ -200,15 +202,13 @@ def split_recognition(g: Graph) -> SplitPartition | None:
     n = g.n
     if n == 0:
         return SplitPartition(frozenset(), frozenset())
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    d = [g.degree(v) for v in order]
-    h = 0
-    for i in range(1, n + 1):
-        if d[i - 1] >= i - 1:
-            h = i
-    if sum(d[:h]) != h * (h - 1) + sum(d[h:]):
+    deg = np.diff(g.csr()[0])
+    order = np.argsort(-deg, kind="stable")
+    d = deg[order]
+    h = int(np.flatnonzero(d >= np.arange(n))[-1]) + 1
+    if int(d[:h].sum()) != h * (h - 1) + int(d[h:].sum()):
         return None
-    part = SplitPartition(frozenset(order[:h]), frozenset(order[h:]))
+    part = SplitPartition(frozenset(order[:h].tolist()), frozenset(order[h:].tolist()))
     try:
         validate_split_partition(g, part)
     except ValueError as exc:  # cannot happen when the threshold test passes

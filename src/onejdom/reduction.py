@@ -24,7 +24,7 @@ from itertools import combinations, takewhile
 
 from .errors import (InternalContradictionError, ParseError,
                      PreconditionError, SizeGuardError)
-from .graph import Graph, header_pair, numbered_lines
+from .graph import Graph, _check_vertex_count, header_pair, numbered_lines
 from .oracle import Witness, banded_sets, checked_witness, verify_1j_set
 
 log = logging.getLogger(__name__)
@@ -150,6 +150,10 @@ def build_reduction(inst: EX3CInstance, j: int) -> ReductionArtifact:
         raise PreconditionError("the reduction is defined for j >= 2")
     q, t = inst.q, inst.t
     n = 4 * t + 3 * q + 3 * q * q * (1 + 3 * j)
+    try:
+        _check_vertex_count(n)
+    except ValueError as exc:
+        raise PreconditionError(f"reduction graph: {exc}") from None
     k = t + q + 3 * j * q * q
     roles: list[tuple] = [None] * n
     edges: list[tuple[int, int]] = []
@@ -157,11 +161,9 @@ def build_reduction(inst: EX3CInstance, j: int) -> ReductionArtifact:
     art = ReductionArtifact(inst, j, Graph(0), k, ())  # id helpers only
 
     for p in range(t):
-        u, v, y, z = art.u_id(p), art.v_id(p), art.y_id(p), art.z_id(p)
-        roles[u] = ("u", p)
-        roles[v] = ("v", p)
-        roles[y] = ("y", p)
-        roles[z] = ("z", p)
+        u, v, y, z = claw = art.u_id(p), art.v_id(p), art.y_id(p), art.z_id(p)
+        for tag, x in zip("uvyz", claw):
+            roles[x] = (tag, p)
         edges.extend([(u, v), (u, y), (u, z)])
 
     xs = [art.x_id(i) for i in inst.universe]
@@ -215,11 +217,7 @@ def forward_witness(artifact: ReductionArtifact, cover: tuple[int, ...] | list[i
     inst = artifact.instance
     cover = tuple(cover)
     _validate_cover(inst, cover)
-    d: set[int] = set()
-    for p in range(inst.t):
-        d.add(artifact.u_id(p))
-    for p in cover:
-        d.add(artifact.v_id(p))
+    d = {artifact.u_id(p) for p in range(inst.t)} | {artifact.v_id(p) for p in cover}
     for i in inst.universe:
         for r in range(1, inst.q + 1):
             d.update(artifact.child_ids(i, r))
@@ -269,9 +267,7 @@ class GadgetCheck:
 
 def _min_sets_dominating(g: Graph, targets: list[int]) -> tuple[int, list[frozenset[int]]]:
     """Smallest size k and all k-subsets whose closed neighborhoods cover targets."""
-    lower = [0] * g.n
-    for v in targets:
-        lower[v] = 1
+    lower = [int(v in targets) for v in range(g.n)]
     sets = banded_sets(g, lower, (g.n,) * g.n)
     first = next(sets)
     hits = [first, *takewhile(lambda c: len(c) == len(first), sets)]

@@ -20,7 +20,10 @@ When n1 <= j the trace restriction is vacuous, and the same classes
 i = 0..n1 reach every clique subset with its forced independent side.
 
 One scan, _trace_class, yields the admissible clique parts of a class in
-lex order.  gamma_1j_split (through split_case_candidates) takes the
+lex order, by set algebra on bit masks over the positions of sorted S:
+each entry point builds, once per call and in linear time from the CSR
+rows, one int per clique vertex holding its independent neighbors (n1 * n2
+bits in all).  gamma_1j_split (through split_case_candidates) takes the
 smallest candidate of each class, passing every candidate through the
 witness self-check before it may win: a candidate that fails it aborts the
 run, because it would mean the case analysis was misapplied.
@@ -36,8 +39,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
+import numpy as np
+
 from .errors import PreconditionError
-from .graph import Graph, SplitPartition, is_connected, validate_split_partition
+from .graph import Graph, SplitPartition, _selection, is_connected, validate_split_partition
 from .oracle import Witness, check_j, checked_witness
 
 
@@ -65,40 +70,62 @@ def _prologue(g: Graph, part: SplitPartition, j: int, what: str) -> None:
         raise PreconditionError(f"{what} requires a connected graph")
 
 
-def _trace_class(g: Graph, K: list[int], S: list[int], i: int,
-                 j: int) -> Iterator[tuple[tuple[int, ...], frozenset[int]]]:
+def _sides(g: Graph, part: SplitPartition) -> tuple[list[int], list[int], list[int], dict]:
+    """(K, S, deg, masks): sorted K and S, every degree, and per clique
+    vertex v an int masks[v] whose bit p is set when v sees S[p]. Every
+    neighbor of an independent vertex is in K, so the masks are read off
+    the CSR rows of S."""
+    indptr, indices = g.csr()
+    deg = np.diff(indptr)
+    K, S = sorted(part.clique), sorted(part.independent)
+    in_s = ~_selection(g.n, K)
+    kpos = np.zeros(g.n, dtype=np.intp)
+    kpos[K] = np.arange(len(K))
+    width = (len(S) + 7) // 8
+    bits = np.repeat(np.arange(len(S)), deg[in_s])  # the S position of each entry
+    byte = kpos[indices[np.repeat(in_s, deg)]] * width + (bits >> 3)
+    packed = np.zeros(len(K) * width, dtype=np.uint8)
+    np.bitwise_or.at(packed, byte, (1 << (bits & 7)).astype(np.uint8))
+    data = packed.tobytes()
+    return K, S, deg.tolist(), {v: int.from_bytes(data[a * width:(a + 1) * width], "little")
+                                for a, v in enumerate(K)}
+
+
+def _trace_class(sides, i: int, j: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """Admissible clique parts of trace class i, each with its forced
     independent side, in lex order; i = j + 1 encodes the K-inside case."""
+    K, S, deg, masks = sides
     n1 = len(K)
-    sset = frozenset(S)
     if i == 0:
-        if all(n1 <= g.degree(v) <= n1 + j - 1 for v in K):
-            yield (), sset
+        if all(n1 <= deg[v] <= n1 + j - 1 for v in K):
+            yield (), S
     elif i > j:
-        yield tuple(K), frozenset(u for u in S if g.degree(u) >= j + 1)
+        yield tuple(K), [u for u in S if deg[u] >= j + 1]
     else:
+        full = (1 << len(S)) - 1
         for ksub in combinations(K, i):
-            seen: set[int] = set()
+            seen = 0
             for v in ksub:
-                seen |= g.neighbor_set(v)
+                seen |= masks[v]
             if i == j:
-                if sset <= seen:
-                    yield ksub, frozenset()
+                if seen == full:
+                    yield ksub, []
                 continue
-            s_i = sset - seen
-            if all(len(g.neighbor_set(v) & s_i) <= j - i for v in K if v not in ksub):
-                yield ksub, s_i
+            s_i = full & ~seen
+            if all((masks[v] & s_i).bit_count() <= j - i for v in K if v not in ksub):
+                left = bin(s_i)[:1:-1]  # the bits of s_i, lowest first
+                yield ksub, [u for u, b in zip(S, left) if b == "1"]
 
 
 def split_case_candidates(g: Graph, part: SplitPartition, j: int) -> list[SplitCaseResult]:
-    """The smallest candidate of each trace class i in {0, ..., j, n1}."""
-    K = sorted(part.clique)
-    S = sorted(part.independent)
+    """The smallest candidate of each trace class i in {0, ..., j, n1}; part
+    must be a valid split partition of g (gamma_1j_split checks it)."""
+    sides = _sides(g, part)
     results: list[SplitCaseResult] = []
     for i in range(j + 2):
         best: Witness | None = None
-        for ksub, forced in _trace_class(g, K, S, i, j):
-            cand = checked_witness(g, forced.union(ksub), 1, j,
+        for ksub, forced in _trace_class(sides, i, j):
+            cand = checked_witness(g, [*ksub, *forced], 1, j,
                                    f"split case {i}, clique part {ksub}")
             if best is None or cand.cardinality < best.cardinality:
                 best = cand
@@ -138,10 +165,10 @@ def is_gamma_n_split(g: Graph, part: SplitPartition, j: int) -> GammaNReport:
     behind the conditions does not apply).
     """
     _prologue(g, part, j, "characterization")
-    K = sorted(part.clique)
-    S = sorted(part.independent)
+    sides = _sides(g, part)
     failed = [name for name, classes in (("i", [0]), ("ii", range(1, j)), ("iii", [j]))
-              if any(next(_trace_class(g, K, S, i, j), None) is not None for i in classes)]
-    if not all(g.degree(u) >= j + 1 for u in S):
+              if any(next(_trace_class(sides, i, j), None) is not None for i in classes)]
+    _, S, deg, _ = sides
+    if not all(deg[u] >= j + 1 for u in S):
         failed.append("iv")
     return GammaNReport(not failed, tuple(failed))

@@ -224,6 +224,19 @@ def test_reduce_sidecar_and_witness(tmp_path, capsys):
     assert code == 0 and json.loads(out2)["valid"] is True
 
 
+def test_reduce_huge_q_is_a_precondition(tmp_path, capsys):
+    # q = 10**6 asks for about 2.1e13 vertices, past the int32 id limit
+    ex3c = tmp_path / "huge.ex3c"
+    ex3c.write_bytes(b"1000000 1\n1 2 3\n")
+    out = tmp_path / "red.edges"
+    code, rep, err = run_cli(capsys, "reduce", "--ex3c", str(ex3c), "--j", "2", "-o", str(out))
+    assert code == 3
+    assert rep == "" and not out.exists()
+    lines = [ln for ln in err.splitlines() if not ln.startswith("elapsed_seconds=")]
+    assert len(lines) == 1 and lines[0].startswith("precondition:")
+    assert "does not fit int32 ids" in lines[0]
+
+
 def test_solve_byte_identical_reruns(tmp_path, capsys):
     path = write_graph(tmp_path, path_graph(7))
     _, rep1, _ = run_cli(capsys, "solve", path, "--j", "2")

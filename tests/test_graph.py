@@ -120,4 +120,4 @@ def test_construct_path_builds_no_python_views():
     lll_params_for_graph(g, j)
     runs = mt_trials(g, j, 3, 4)
     verify_1j_set(g, runs[0].result.vertices, j)
-    assert g._nbrs is None and g._nbr_sets is None and g._masks is None
+    assert g._nbrs is None

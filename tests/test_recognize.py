@@ -1,13 +1,14 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 
 from conftest import gamma_n_split_example
 from onejdom import (EX3CInstance, Graph, PreconditionError, SplitPartition, Witness,
                      build_reduction, chordality_check, complete_graph, cycle_graph,
-                     find_chordless_cycle, gamma_1j_split, gnp, path_graph,
+                     find_chordless_cycle, gamma_1j_split, gnp, is_gamma_n_split, path_graph,
                      random_split, random_tree, split_recognition, star_graph,
                      validate_split_partition)
 from onejdom.recognize import lex_bfs
@@ -39,7 +40,7 @@ def _reference_lex_bfs(g):
         if not head:
             classes.pop(0)
         order.append(v)
-        nbrs = g.neighbor_set(v)
+        nbrs = set(g.neighbors(v))
         refined = []
         for cls in classes:
             inside = [x for x in cls if x in nbrs]
@@ -254,14 +255,26 @@ def test_split_partition_check_matches_pairwise_reference():
                         "clique side misses edge", "independent side contains edge"}
 
 
-def test_split_check_is_linear_on_a_k2_joined_to_many_independents():
-    # every independent vertex sees both clique vertices; the pairwise check
-    # made about 5e9 has_edge calls on this shape
+@pytest.mark.parametrize("a", [0, 10**5], ids=["clique-lowest", "clique-highest"])
+def test_split_check_is_linear_on_a_k2_joined_to_many_independents(a):
+    # every independent vertex sees both clique vertices a and a + 1; the
+    # pairwise check made about 5e9 has_edge calls on this shape, and
+    # per-vertex neighbour sets pushed the traced peak past 60 MB
     n_ind = 10**5
-    g = Graph(n_ind + 2, [(0, 1)] + [(c, v) for v in range(2, n_ind + 2) for c in (0, 1)])
-    part = split_recognition(g)
-    assert part.clique == frozenset({0, 1, 2})  # vertex 2 ties at the boundary
-    assert gamma_1j_split(g, part, 1) == (1, Witness(frozenset({0})))
+    others = [v for v in range(n_ind + 2) if v not in (a, a + 1)]
+    g = Graph(n_ind + 2, [(a, a + 1)] + [(c, v) for v in others for c in (a, a + 1)])
+    tracemalloc.start()
+    try:
+        part = split_recognition(g)
+        tie = 0 if a else 2  # the lowest other vertex ties at the boundary
+        assert part.clique == frozenset({a, a + 1, tie})
+        assert gamma_1j_split(g, part, 1) == (1, Witness(frozenset({a})))
+        assert gamma_1j_split(g, part, 2) == (1, Witness(frozenset({a})))
+        assert is_gamma_n_split(g, part, 2).failed == ("ii", "iii", "iv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20, peak
 
 
 def test_lex_bfs_matches_reference_order():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from onejdom import (EX3CInstance, ParseError, PreconditionError, SizeGuardError,
@@ -31,6 +33,20 @@ def test_ex3c_round_trip():
 def test_reduction_rejects_j1():
     with pytest.raises(PreconditionError):
         build_reduction(EX3CInstance(1, ((1, 2, 3),)), 1)
+
+
+def test_reduction_past_the_vertex_limit_allocates_nothing_of_size_n():
+    inst = EX3CInstance(10**6, ((1, 2, 3),))
+    n, _ = _counts(10**6, 1, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError) as exc:
+            build_reduction(inst, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"vertex count {n} does not fit int32 ids" in str(exc.value)
+    assert peak < 2 * 2**20, peak
 
 
 def test_counts_q1_t1_j2():

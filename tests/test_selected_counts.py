@@ -27,7 +27,7 @@ def _reference_verify(g, vertices, j):
     for v in range(g.n):
         if v in dset:
             continue
-        c = len(dset & g.neighbor_set(v))
+        c = len(dset & set(g.neighbors(v)))
         if c == 0:
             undominated.append(v)
         elif c > j:
@@ -89,7 +89,7 @@ def _reference_band_violations(t, vertices):
     for v in range(t.tree.n):
         if v in sset:
             continue
-        c = len(sset & t.tree.neighbor_set(v))
+        c = len(sset & set(t.tree.neighbors(v)))
         if not t.lower[v] <= c <= t.upper[v]:
             bad.append(v)
     return bad

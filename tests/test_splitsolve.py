@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 from unittest.mock import patch
 
 import pytest
@@ -181,3 +184,35 @@ def test_gamma_n_test_reads_the_solver_scan(n1, n2, p, seed, j):
     assert ("ii" in failed) == any(cases[i] is not None for i in range(1, j))
     assert ("iii" in failed) == (cases[j] is not None)
     assert ("iv" in failed) == (cases[j + 1].cardinality < g.n)
+
+
+def _relabelled_split(n1, n2, p, seed):
+    """random_split with its vertex ids shuffled, so the clique is scattered."""
+    g, part = random_split(n1, n2, p, seed)
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return (Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]),
+            SplitPartition(frozenset(perm[v] for v in part.clique),
+                           frozenset(perm[v] for v in part.independent)))
+
+
+def _split_pin_row(g, part, j):
+    cases = [(c.case_index, c.candidate and c.candidate.sorted())
+             for c in split_case_candidates(g, part, j)]
+    report = is_gamma_n_split(g, part, j)
+    value, witness = gamma_1j_split(g, part, j)
+    return [cases, report.holds, report.failed, value, witness.sorted()]
+
+
+def test_split_solver_pinned():
+    # sha256 over every trace-class candidate, the gamma = n report and the
+    # minimum of 400 seeded split graphs with shuffled ids, j = 1..5 (so
+    # n1 <= j occurs); recorded on the frozenset scan, it pins the lex
+    # order of the candidates and the witness tie-break
+    rnd = random.Random(10)
+    digest = hashlib.sha256()
+    for seed in range(400):
+        n1, n2, j = rnd.randint(1, 10), rnd.randint(0, 14), rnd.randint(1, 5)
+        g, part = _relabelled_split(n1, n2, rnd.uniform(0.1, 0.9), seed)
+        digest.update(json.dumps(_split_pin_row(g, part, j)).encode())
+    assert digest.hexdigest() == "ed9368d7bbe92b12c5c68991d362a940ec22e7ac483dfaa10840bd13715e54d3"
