@@ -5,7 +5,8 @@ immutable once constructed, so they can be shared freely between solvers
 and concurrent tasks. A graph has two views of its adjacency: the
 read-only int32 CSR pair it is stored as, and the neighbor tuples the
 exact engines walk, built from it on first use, so array-only callers such
-as the resampler and the set verifier never build them.
+as the resampler, the set verifier, the tree fold and the connectivity walk
+never build them.
 """
 
 from __future__ import annotations
@@ -364,20 +365,21 @@ def write_edge_list(g: Graph) -> str:
 
 def is_connected(g: Graph) -> bool:
     """True iff one walk from vertex 0 reaches all n vertices (n = 0 counts
-    as connected)."""
+    as connected). The walk reads the flat CSR lists, so it builds no
+    neighbor tuples."""
     if g.n == 0:
         return True
+    indptr, indices = g.csr()
+    ptr, idx = indptr.tolist(), indices.tolist()
     seen = bytearray(g.n)
     seen[0] = 1
-    reached = 1
-    stack = [0]
-    while stack:
-        for u in g.neighbors(stack.pop()):
+    reached = [0]
+    for v in reached:
+        for u in idx[ptr[v]:ptr[v + 1]]:
             if not seen[u]:
                 seen[u] = 1
-                reached += 1
-                stack.append(u)
-    return reached == g.n
+                reached.append(u)
+    return len(reached) == g.n
 
 
 def is_tree(g: Graph) -> bool:

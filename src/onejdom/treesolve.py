@@ -2,31 +2,38 @@
 
 An MLabeledTree carries per-vertex bounds (lower[v], upper[v]); a feasible
 selection S must give every vertex outside S a selected-neighbor count
-inside its band.  The solver roots the tree by BFS and folds it from the
-leaves up.  Merging the children of v builds
+inside its band.  The solver roots the tree once by BFS over the CSR arrays
+and folds it from the leaves up over BFS positions; the children of a
+position are one contiguous run of positions, in ascending id order.  Each
+position keeps five ints: in_cost, its subtree's minimum cost with it
+selected; plain, the minimum with it unselected and its child count in
+[lower, upper], and that count (plain_arg); and, for a selected parent,
+whose band for it shifts down to [lower - 1, upper - 1], the cheaper of
+that window's minimum and in_cost (sel_cost) with the state it picks
+(sel_state: the child count, or -1 for selected).
 
-  in_cost      minimum cost with v selected, and
-  out_tab[c]   minimum cost with v unselected and exactly c children
-               selected (c capped at min(upper[v], #children): a larger
-               count violates v's band even without help from the parent),
+With v unselected each child u stays out (cost plain[u]) or goes in (cost
+in_cost[u]), so the cost with exactly c children selected is the closed form
 
-and band checks for v are deferred to the merge into its parent: with the
-parent unselected v's count must lie in [lower[v], upper[v]], with the
-parent selected the admissible window shifts down by one to
-[max(lower[v]-1, 0), upper[v]-1].  So out_tab lives only while v is merged;
-the fold keeps flat per-vertex int arrays: in_cost, the two window minima
-plain and shift of out_tab, and their argmins plain_arg and shift_arg.
+  tab[c] = sum of plain[u] + sum of the c smallest gains in_cost[u] - plain[u].
 
-The traceback recomputes the choices instead of storing them.  A selected
-vertex reads each child's state from shift, shift_arg and in_cost; an
-unselected vertex with count c rebuilds its prefix tables over its children
-and walks them backwards.  Uniform bands (1, j) make the result the minimum
-(1,j)-set of the tree; run time and memory are O(n * max upper bound).
+tab is convex in c, so over a window its minimum lies at the number of
+negative gains clamped into the window, the lowest count on ties.  _INF
+marks an infeasible window; tab[c] is also a sum of per-child costs, all
+nonnegative, so one that holds _INF stays >= _INF: infeasible unclamped.
+
+The traceback sets every position's state in BFS order: below a selected
+vertex each child takes sel_state; below an unselected vertex with count c
+its first c children in (gain, id) order are selected and the others take
+plain_arg.  Uniform bands (1, j) give the minimum (1,j)-set of the tree.
+The fold takes O(n log max degree) time and O(n) memory for any bands.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import le, sub
 
 from .errors import PreconditionError
 from .graph import Graph, _outside_band, _selected_counts, _selection, is_tree
@@ -49,11 +56,11 @@ class MLabeledTree:
         n = self.tree.n
         if len(self.lower) != n or len(self.upper) != n:
             raise PreconditionError("label arrays must have one entry per vertex")
-        for v in range(n):
-            if not 0 <= self.lower[v] <= self.upper[v]:
-                raise PreconditionError(
-                    f"vertex {v}: need 0 <= lower <= upper, got "
-                    f"({self.lower[v]}, {self.upper[v]})")
+        lower, upper = self.lower, self.upper
+        if min(lower) < 0 or not all(map(le, lower, upper)):
+            v = next(v for v in range(n) if not 0 <= lower[v] <= upper[v])
+            raise PreconditionError(
+                f"vertex {v}: need 0 <= lower <= upper, got ({lower[v]}, {upper[v]})")
 
 
 def uniform_labeled_tree(g: Graph, j: int) -> MLabeledTree:
@@ -62,94 +69,80 @@ def uniform_labeled_tree(g: Graph, j: int) -> MLabeledTree:
     return MLabeledTree(g, (1,) * g.n, (j,) * g.n)
 
 
-def _window_min(tab: list[int], lo: int, hi: int) -> tuple[int, int]:
-    """(min value, argmin) of tab over [lo, hi] clamped to the table; ties
-    resolve to the lowest count, and an empty or infeasible window gives
-    (_INF, -1)."""
-    best, arg = _INF, -1
-    for c in range(max(lo, 0), min(hi, len(tab) - 1) + 1):
-        if tab[c] < best:
-            best, arg = tab[c], c
-    return best, arg
-
-
-def _merge(tab: list[int], plain: int, child_in: int) -> list[int]:
-    """Min-plus step of an unselected vertex's count table over one more
-    child: the child stays out (count unchanged, cost plain) or is selected
-    (count + 1, cost child_in).  Sums with _INF in them stay >= _INF, so they
-    remain infeasible without clamping."""
-    ntab = [a + plain for a in tab]
-    for c in range(len(tab) - 1):
-        cand = tab[c] + child_in
-        if cand < ntab[c + 1]:
-            ntab[c + 1] = cand
-    return ntab
+def _window(base: int, gains: list[int], lo: int, hi: int) -> tuple[int, int]:
+    """(min value, argmin) of base + sum(gains[:c]) over c in [lo, hi]
+    clamped to 0..len(gains), for ascending gains; ties resolve to the lowest
+    count, and an empty or infeasible window gives (_INF, -1)."""
+    lo, hi = max(lo, 0), min(hi, len(gains))
+    if lo > hi:
+        return _INF, -1
+    c = min(max(bisect_left(gains, 0), lo), hi)
+    cost = base + sum(gains[:c])
+    return (cost, c) if cost < _INF else (_INF, -1)
 
 
 def gamma_M(t: MLabeledTree, root: int = 0) -> tuple[int, Witness]:
     """Minimum cardinality of a band-feasible set, with a witness.
 
-    The fold keeps five ints per vertex (in_cost and the two window minima
-    of the out-table with their argmins); the traceback recomputes every
-    other choice from them.  The value is independent of the chosen root;
-    the witness tie-breaks toward unselected vertices, then lowest child
-    counts.
+    The value is independent of the chosen root; the witness tie-breaks
+    toward unselected vertices, then lowest child counts, and an unselected
+    vertex with count c selects its first c children in (gain, id) order,
+    gain being in_cost - plain.
     """
     g = t.tree
     n = g.n
     if not 0 <= root < n:
         raise PreconditionError(f"root {root} out of range")
     lower, upper = t.lower, t.upper
-    nbrs = g.neighbors
-    # BFS rooting; the children of v are its sorted neighbors minus parent[v]
-    parent = [-1] * n
-    order = [root]
-    for v in order:
-        p = parent[v]
-        for u in nbrs(v):
-            if u != p:
-                parent[u] = v
-                order.append(u)
+    indptr, indices = g.csr()
+    ptr, idx = indptr.tolist(), indices.tolist()
+    # BFS rooting: order[i] is the vertex at position i, and the children of
+    # position i are positions first[i]:first[i + 1], in ascending id order
+    order, first, parent = [root], [], [-1]
+    for i, v in enumerate(order):
+        first.append(len(order))
+        kids = idx[ptr[v]:ptr[v + 1]]
+        if i:
+            kids.remove(parent[i])
+        order += kids
+        parent += [v] * len(kids)
+    first.append(n)
+    del parent
 
-    in_cost = [0] * n
+    in_cost = [1] * n
     plain, plain_arg = [0] * n, [0] * n
-    shift, shift_arg = [0] * n, [0] * n
-    for v in reversed(order):
-        p = parent[v]
-        icost = 1
-        tab = [0] + [_INF] * min(upper[v], len(nbrs(v)) - (p >= 0))
-        for u in nbrs(v):
-            if u != p:
-                # with v selected the child's band shifts down by one
-                icost += min(shift[u], in_cost[u])
-                tab = _merge(tab, plain[u], in_cost[u])
-        in_cost[v] = icost
-        plain[v], plain_arg[v] = _window_min(tab, lower[v], upper[v])
-        shift[v], shift_arg[v] = _window_min(tab, lower[v] - 1, upper[v] - 1)
-
-    # traceback: a state is (vertex, its child count if unselected, else -1)
-    value = min(plain[root], in_cost[root])
-    selected: list[int] = []
-    stack = [(root, plain_arg[root] if plain[root] <= in_cost[root] else -1)]
-    while stack:
-        v, c = stack.pop()
-        p = parent[v]
-        kids = [u for u in nbrs(v) if u != p]
-        if c < 0:
-            selected.append(v)
-            stack.extend((u, shift_arg[u] if shift[u] <= in_cost[u] else -1)
-                         for u in kids)
+    sel_cost, sel_state = [0] * n, [0] * n
+    for i in range(n - 1, -1, -1):
+        a, b = first[i], first[i + 1]
+        lo, hi = lower[order[i]], upper[order[i]]
+        if a == b:  # a leaf: its only child count is 0
+            if lo:
+                plain[i], plain_arg[i] = _INF, -1
+            if lo > 1 or hi < 1:
+                sel_cost[i], sel_state[i] = 1, -1
             continue
-        tabs = [[0] + [_INF] * min(upper[v], len(kids))]
-        for u in kids[:-1]:
-            tabs.append(_merge(tabs[-1], plain[u], in_cost[u]))
-        # walk the prefix tables backwards; the merge keeps a child out on ties
-        for u, tab in zip(reversed(kids), reversed(tabs)):
-            if c and tab[c - 1] + in_cost[u] < tab[c] + plain[u]:
-                stack.append((u, -1))
-                c -= 1
-            else:
-                stack.append((u, plain_arg[u]))
+        in_cost[i] = cost = 1 + sum(sel_cost[a:b])
+        base = sum(plain[a:b])
+        gains = sorted(map(sub, in_cost[a:b], plain[a:b]))
+        plain[i], plain_arg[i] = _window(base, gains, lo, hi)
+        # with the parent selected the band shifts down by one
+        shift, c = _window(base, gains, lo - 1, hi - 1)
+        sel_cost[i], sel_state[i] = (shift, c) if shift <= cost else (cost, -1)
+
+    # traceback: state[i] is position i's child count if unselected, else -1
+    value = min(plain[0], in_cost[0])
+    state = [0] * n
+    state[0] = plain_arg[0] if plain[0] <= in_cost[0] else -1
+    for i, c in enumerate(state):
+        a, b = first[i], first[i + 1]
+        if c < 0:
+            state[a:b] = sel_state[a:b]
+            continue
+        state[a:b] = plain_arg[a:b]
+        if c:
+            for u in sorted(range(a, b), key=lambda u: in_cost[u] - plain[u])[:c]:
+                state[u] = -1
+    selected = [v for v, c in zip(order, state) if c < 0]
     assert len(selected) == value
     return value, Witness(frozenset(selected))
 

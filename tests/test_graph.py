@@ -1,12 +1,15 @@
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onejdom import (Graph, ParseError, cycle_graph, gnp, is_connected, is_tree,
-                     lll_params_for_graph, mt_trials, parse_edge_list, path_graph,
-                     random_regular, verify_1j_set, write_edge_list)
+from onejdom import (Graph, MLabeledTree, ParseError, cycle_graph, gamma_1j_split,
+                     gamma_1j_tree, gamma_M, gnp, is_connected, is_gamma_n_split, is_tree,
+                     lll_params_for_graph, m_band_violations, mt_trials, parse_edge_list,
+                     path_graph, random_regular, random_tree, split_recognition,
+                     verify_1j_set, write_edge_list)
 
 
 def test_parse_single_edge():
@@ -120,4 +123,35 @@ def test_construct_path_builds_no_python_views():
     lll_params_for_graph(g, j)
     runs = mt_trials(g, j, 3, 4)
     verify_1j_set(g, runs[0].result.vertices, j)
+    assert g._nbrs is None
+
+
+def _tree_calls(g):
+    assert is_tree(g)
+    gamma_1j_tree(g, 2)
+
+
+def _labelled_tree_calls(g):
+    rnd = random.Random(6)
+    lower = [rnd.randint(0, 2) for _ in range(g.n)]
+    t = MLabeledTree(g, tuple(lower), tuple(a + rnd.randint(0, 3) for a in lower))
+    _, witness = gamma_M(t, root=g.n // 2)
+    assert m_band_violations(t, witness.vertices) == []
+
+
+def _split_calls(g):
+    part = split_recognition(g)
+    gamma_1j_split(g, part, 2)
+    is_gamma_n_split(g, part, 2)
+
+
+@pytest.mark.parametrize("g, calls", [
+    (random_tree(3000, 8), _tree_calls),
+    (random_tree(3000, 9), _labelled_tree_calls),
+    # K2 joined to 2000 independent vertices
+    (Graph(2002, [(0, 1)] + [(c, v) for v in range(2, 2002) for c in (0, 1)]), _split_calls),
+], ids=["tree", "labelled-tree", "split"])
+def test_tree_and_split_paths_build_no_python_views(g, calls):
+    g = parse_edge_list(write_edge_list(g).encode())
+    calls(g)
     assert g._nbrs is None

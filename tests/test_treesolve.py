@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -28,6 +29,10 @@ def test_labeled_tree_validation():
         MLabeledTree(path_graph(2), (2, 0), (1, 0))
     with pytest.raises(PreconditionError):
         MLabeledTree(path_graph(2), (0,), (0,))
+    # the message names the first vertex whose band is faulty
+    with pytest.raises(PreconditionError,
+                       match=r"^vertex 1: need 0 <= lower <= upper, got \(2, 1\)$"):
+        MLabeledTree(path_graph(3), (0, 2, -1), (1, 1, 0))
 
 
 def test_single_vertex_base_case():
@@ -212,3 +217,114 @@ def test_wide_star_centre_unselected():
     assert value == witness.cardinality == 5
     assert witness.vertices == forced
     assert not m_band_violations(t, witness.vertices)
+
+
+_INF = 1 << 30
+
+
+def _reference_window_min(tab, lo, hi):
+    best, arg = _INF, -1
+    for c in range(max(lo, 0), min(hi, len(tab) - 1) + 1):
+        if tab[c] < best:
+            best, arg = tab[c], c
+    return best, arg
+
+
+def _reference_merge(tab, plain, child_in):
+    ntab = [a + plain for a in tab]
+    for c in range(len(tab) - 1):
+        cand = tab[c] + child_in
+        if cand < ntab[c + 1]:
+            ntab[c + 1] = cand
+    return ntab
+
+
+def _reference_gamma_M(t, root):
+    """The former min-plus table fold: one count table per unselected
+    vertex, merged child by child, and a traceback that rebuilds the prefix
+    tables and walks them backwards, keeping a child out on ties."""
+    g, lower, upper = t.tree, t.lower, t.upper
+    nbrs = g.neighbors
+    parent = [-1] * g.n
+    order = [root]
+    for v in order:
+        for u in nbrs(v):
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    in_cost = [0] * g.n
+    plain, plain_arg = [0] * g.n, [0] * g.n
+    shift, shift_arg = [0] * g.n, [0] * g.n
+    for v in reversed(order):
+        p = parent[v]
+        icost = 1
+        tab = [0] + [_INF] * min(upper[v], len(nbrs(v)) - (p >= 0))
+        for u in nbrs(v):
+            if u != p:
+                icost += min(shift[u], in_cost[u])
+                tab = _reference_merge(tab, plain[u], in_cost[u])
+        in_cost[v] = icost
+        plain[v], plain_arg[v] = _reference_window_min(tab, lower[v], upper[v])
+        shift[v], shift_arg[v] = _reference_window_min(tab, lower[v] - 1, upper[v] - 1)
+    value = min(plain[root], in_cost[root])
+    selected = []
+    stack = [(root, plain_arg[root] if plain[root] <= in_cost[root] else -1)]
+    while stack:
+        v, c = stack.pop()
+        kids = [u for u in nbrs(v) if u != parent[v]]
+        if c < 0:
+            selected.append(v)
+            stack.extend((u, shift_arg[u] if shift[u] <= in_cost[u] else -1)
+                         for u in kids)
+            continue
+        tabs = [[0] + [_INF] * min(upper[v], len(kids))]
+        for u in kids[:-1]:
+            tabs.append(_reference_merge(tabs[-1], plain[u], in_cost[u]))
+        for u, tab in zip(reversed(kids), reversed(tabs)):
+            if c and tab[c - 1] + in_cost[u] < tab[c] + plain[u]:
+                stack.append((u, -1))
+                c -= 1
+            else:
+                stack.append((u, plain_arg[u]))
+    return value, sorted(selected)
+
+
+def test_fold_matches_reference_table_fold():
+    # lower bounds up to 4 exceed many degrees, so windows no count can meet
+    # make children whose plain cost is _INF
+    rnd = random.Random(1717)
+    infeasible_children = 0
+    for trial in range(2000):
+        n = rnd.randint(1, 40)
+        g = random_tree(n, 90_000 + trial)
+        lower = [rnd.randint(0, 4) for _ in range(n)]
+        upper = [rnd.randint(a, 10) for a in lower]
+        t = MLabeledTree(g, tuple(lower), tuple(upper))
+        infeasible_children += sum(lower[v] > g.degree(v) for v in range(n))
+        root = rnd.randrange(n)
+        value, witness = gamma_M(t, root=root)
+        assert (value, witness.sorted()) == _reference_gamma_M(t, root), (trial, root)
+    assert infeasible_children > 1000
+
+
+_LEAVES = 600
+
+
+@pytest.mark.parametrize("t, value", [
+    # leaves banded [2, 2] must all be selected, so the centre stays out with
+    # count L, the shape on which a min-plus table traceback is quadratic
+    (MLabeledTree(star_graph(_LEAVES), (0,) + (2,) * _LEAVES,
+                  (_LEAVES,) + (2,) * _LEAVES), _LEAVES),
+    # the centre's windows span every child count
+    (uniform_labeled_tree(star_graph(_LEAVES), _LEAVES), 1),
+], ids=["centre-out", "j-equals-leaves"])
+def test_wide_star_fold_memory_is_linear(t, value):
+    tracemalloc.start()
+    try:
+        got, witness = gamma_M(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == witness.cardinality == value
+    assert not m_band_violations(t, witness.vertices)
+    assert peak < 2 * 2**20, peak
